@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qvortex
 from qvortex.cli import main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
@@ -96,6 +101,23 @@ class TestTable2Command:
     def test_zero_winding_rejected(self, tmp_path, capsys):
         assert run("table2", "--out", str(tmp_path), "--n", "0") == 2
         assert "nonzero integer" in capsys.readouterr().err
+
+    def test_agreement_across_blas_thread_counts(self, tmp_path):
+        src = str(Path(qvortex.__file__).resolve().parents[1])
+        rows = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / threads
+            subprocess.run(
+                [sys.executable, "-m", "qvortex.cli", "table2", "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            lines = data_lines(out / "table2.csv")[1:]
+            rows[threads] = [line.split(",") for line in lines]
+        assert [row[4] for row in rows["1"]] == [row[4] for row in rows["2"]]
+        for one, two in zip(rows["1"], rows["2"]):
+            assert abs(float(one[1]) - float(two[1])) <= 1e-9
 
 
 class TestDispersionCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qvortex import (
     SolveConfig,
     bessel_first_zero,
     build_basis,
+    build_grid,
     check_decay_envelope,
     dense_profile,
     discrete_functional,
@@ -19,6 +21,7 @@ from qvortex import (
 from qvortex.solver import (
     _nonlinear_energy,
     _nonlinear_gradient,
+    _SphereProblem,
     gradient_fd_check,
     residual_error_split,
 )
@@ -28,6 +31,21 @@ def sphere_point(m, q0, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m)
     return math.sqrt(q0) * v / np.linalg.norm(v)
+
+
+def solve_with_run_lengths(basis, params, config):
+    """Solve and return (solution, accepted steps of each descent run).
+
+    The callback's step index restarts at 1 in every descent run.
+    """
+    runs = []
+
+    def count(step, *_):
+        if step == 1:
+            runs.append(0)
+        runs[-1] = step
+
+    return minimize_on_sphere(basis, params, config, callback=count), runs
 
 
 class TestSolveConfig:
@@ -105,6 +123,13 @@ class TestFunctionalGradient:
         )
 
     def test_matches_finite_differences_on_sphere(self, basis, params):
+        worst = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
+        assert worst < 1e-4
+
+    def test_finite_differences_free_of_cancellation(self):
+        # differencing two absolute values of F gives 2.0e-4 at this point
+        params = ModelParams(n=3, p=24.0)
+        basis = build_basis(params, 60, build_grid(24.0, panels=48, order_per_panel=8))
         worst = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
         assert worst < 1e-4
 
@@ -201,6 +226,76 @@ class TestMinimize:
         two = minimize_on_sphere(basis, params, cfg)
         np.testing.assert_array_equal(one.coeffs, two.coeffs)
         assert one.omega_sq == two.omega_sq
+
+
+class TestNewtonDirection:
+    @staticmethod
+    def fd_hessian(basis, params, a, h=1e-5):
+        cols = []
+        for i in range(basis.m):
+            e = np.zeros(basis.m)
+            e[i] = h
+            cols.append(
+                (functional_gradient(a + e, basis, params)
+                 - functional_gradient(a - e, basis, params)) / (2.0 * h)
+            )
+        hess = np.array(cols)
+        return 0.5 * (hess + hess.T)
+
+    def test_solves_the_bordered_kkt_system(self, basis, params, solve):
+        q0 = 100.0
+        # a point near the minimizer, where the reduced Hessian is positive
+        x = np.array(solve(q0).coeffs) + 1e-2 * sphere_point(basis.m, 1.0, seed=7)
+        x *= math.sqrt(q0) / np.linalg.norm(x)
+        problem = _SphereProblem(basis, params)
+        g = functional_gradient(x, basis, params)
+        theta = float(x @ g) / q0
+        gt = g - theta * x
+        d = problem.newton_direction(x, problem.phi(x), gt, theta)
+        assert d is not None
+        m = basis.m
+        kkt = np.zeros((m + 1, m + 1))
+        kkt[:m, :m] = self.fd_hessian(basis, params, x) - theta * np.eye(m)
+        kkt[:m, m] = kkt[m, :m] = x
+        reference = np.linalg.solve(kkt, np.concatenate([gt, [0.0]]))[:m]
+        np.testing.assert_allclose(
+            d, reference, rtol=1e-6, atol=1e-8 * np.abs(reference).max()
+        )
+        assert abs(float(x @ d)) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(d)
+
+    def test_refuses_an_indefinite_reduced_hessian(self, basis, params, solve):
+        x = np.array(solve(100.0).coeffs)
+        problem = _SphereProblem(basis, params)
+        g = functional_gradient(x, basis, params)
+        gt = g - float(x @ g) / 100.0 * x
+        # a multiplier above the whole spectrum of H leaves H - theta*I
+        # negative definite on the tangent space
+        assert problem.newton_direction(x, problem.phi(x), gt, 1e4) is None
+
+
+class TestSolveCost:
+    """Step budgets: first-order descent alone needs about 10^5 steps on this
+    grid and reaches max_iter in some runs."""
+
+    def test_norm_winding_grid_converges_well_inside_max_iter(self, basis, params):
+        total = 0
+        for n in (1, 2, 3, 4, 5):
+            for q0 in (10.0, 100.0, 1000.0):
+                config = SolveConfig(q0=q0)
+                sol, runs = solve_with_run_lengths(basis, replace(params, n=n), config)
+                assert sol.converged, (n, q0)
+                assert sum(runs) == sol.iterations
+                assert max(runs) < config.max_iter, (n, q0, runs)
+                total += sol.iterations
+        assert total <= 1000
+
+    def test_fine_resolution_high_norm_converges(self):
+        params = ModelParams(n=3)
+        basis = build_basis(params, 180, build_grid(20.0, panels=72, order_per_panel=8))
+        config = SolveConfig(q0=1000.0)
+        sol, runs = solve_with_run_lengths(basis, params, config)
+        assert sol.converged
+        assert max(runs) < config.max_iter
 
 
 class TestModelBoundsOnSolutions:
