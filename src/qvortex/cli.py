@@ -75,7 +75,6 @@ class RunConfig:
     max_iter: int = 20000
     restarts: int = 2
     rng_seed: int = 0
-    use_cg: bool = True
     output_dir: str = "out"
 
 
@@ -84,13 +83,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(key, raw):
     kind = _FIELD_TYPES[key]
-    if kind == "bool":
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean config value {key}={raw!r}")
     if kind == "int":
         return int(raw)
     if kind == "float":
@@ -188,7 +180,6 @@ def _solve_config(cfg, q0):
         max_iter=cfg.max_iter,
         restarts=cfg.restarts,
         rng_seed=cfg.rng_seed,
-        use_cg=cfg.use_cg,
     )
 
 

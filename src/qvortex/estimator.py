@@ -47,7 +47,7 @@ class QVortexSolver:
     q0            : prescribed reduced norm
     basis_size    : number of orthonormalized sine modes
     quad_panels, quad_order : composite Gauss rule resolution
-    grad_tol, max_iter, restarts, initial_guess, rng_seed, use_cg :
+    grad_tol, max_iter, restarts, initial_guess, rng_seed :
         forwarded to SolveConfig
 
     Attributes set by fit
@@ -73,7 +73,6 @@ class QVortexSolver:
         restarts=2,
         initial_guess="ring_bump",
         rng_seed=0,
-        use_cg=True,
     ):
         self.lam = lam
         self.a_pot = a_pot
@@ -89,7 +88,6 @@ class QVortexSolver:
         self.restarts = restarts
         self.initial_guess = initial_guess
         self.rng_seed = rng_seed
-        self.use_cg = use_cg
 
     @classmethod
     def _param_names(cls):
@@ -128,7 +126,6 @@ class QVortexSolver:
             initial_guess=self.initial_guess,
             restarts=self.restarts,
             rng_seed=self.rng_seed,
-            use_cg=self.use_cg,
         )
         solution = minimize_on_sphere(basis, params, config)
         self.model_params_ = params

@@ -17,12 +17,13 @@ an Armijo line-search safeguard. Each step solves the bordered system
 with H the exact Hessian of F and theta = a.grad F / Q0 the current
 multiplier estimate, for a tangent direction d. The block H - theta*I,
 shifted by a multiple of a.a^T that leaves it unchanged on the tangent
-space, is factored by Cholesky; when that fails the reduced Hessian is not
+space, is factored by Cholesky. When that fails the reduced Hessian is not
 positive definite (Newton could head for a saddle, such as an excited
-state), and the step falls back to the projected gradient with optional
-nonlinear conjugate-gradient acceleration (Polak-Ribiere with restarts).
-Either way Armijo backtracking along -d (from the full step, for Newton)
-picks the step, and the iterate is retracted by rescaling back to radius
+state), and the step is the eigen-modified Newton step instead: the reduced
+Hessian's eigenvalues are replaced by their absolute values, which keeps
+the curvature information and turns the saddle's negative directions into
+descent directions. Either way Armijo backtracking from the full step picks
+the step length, and the iterate is retracted by rescaling back to radius
 sqrt(Q0) (an exact retraction).
 
 The squared frequency emerges as the constraint's Lagrange multiplier and is
@@ -74,7 +75,6 @@ PROFILE_POINTS = 2001
 
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
-_ETA_MAX = 1e6
 _ETA_MIN = 1e-18
 
 _INITIAL_GUESSES = ("ring_bump", "trapezoid", "custom")
@@ -91,7 +91,6 @@ class SolveConfig:
     custom_coeffs : coefficient vector for initial_guess="custom"
     restarts      : extra perturbed runs (1% relative noise), lowest F kept
     rng_seed      : seed for the restart perturbations (determinism)
-    use_cg        : enable conjugate-gradient acceleration
     """
 
     q0: float
@@ -101,7 +100,6 @@ class SolveConfig:
     custom_coeffs: tuple | None = None
     restarts: int = 2
     rng_seed: int = 0
-    use_cg: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "q0", check_positive("q0", self.q0))
@@ -268,10 +266,12 @@ def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
     compared relative to max(|g_i|, 1e-8 * max|g|) so near-zero entries do
     not blow up the ratio. Each difference is taken as
     delta(a, a + e) - delta(a, a - e) of the factored increments, not of two
-    absolute values of F, whose cancellation would swamp the comparison.
+    absolute values of F, whose cancellation would swamp the comparison; the
+    m coordinate steps of a point go to delta as one stack of candidates.
     """
     rng = np.random.default_rng(seed)
     problem = _SphereProblem(basis, params)
+    steps = step * np.eye(basis.m)
     worst = 0.0
     for _ in range(n_points):
         v = rng.standard_normal(basis.m)
@@ -279,13 +279,9 @@ def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
         phi_a = problem.phi(a)
         g = functional_gradient(a, basis, params)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-        fd = np.empty(basis.m)
-        for i in range(basis.m):
-            e = np.zeros(basis.m)
-            e[i] = step
-            fd[i] = (
-                problem.delta(a, phi_a, a + e)[0] - problem.delta(a, phi_a, a - e)[0]
-            ) / (2.0 * step)
+        plus = problem.delta(a, phi_a, a + steps)[0]
+        minus = problem.delta(a, phi_a, a - steps)[0]
+        fd = (plus - minus) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
 
@@ -318,6 +314,11 @@ def _initial_coeffs(basis, params, config):
     if norm == 0.0:
         raise ValueError("initial guess projects to the zero vector")
     return a * (math.sqrt(config.q0) / norm)
+
+
+def _rowdot(u, v):
+    """u.v over the last axis, each row with the arithmetic of a 1-D dot."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 class _SphereProblem:
@@ -363,56 +364,69 @@ class _SphereProblem:
         which coincides with F on the sphere but has no radial slope, so
         the eps-level radius drift of the retraction cannot pollute the
         comparison. The shift changes nothing on-constraint.
+
+        cand may also be a stack of candidates, one per row; the differences
+        then come back as an array. For a single candidate the products
+        round exactly like plain 1-D dot and matrix-vector products, so the
+        stacked form leaves the line search's arithmetic unchanged.
         """
         step = cand - x
         dphi = step @ self.psi
         phi_c = phi_x + dphi
         mid = x + 0.5 * step
-        quad = float(step @ (self.mat @ mid)) - theta * float(np.dot(step, mid))
+        quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
         u, v = phi_c, phi_x
         u2, v2 = u * u, v * v
         u3, v3 = u2 * u, v2 * v
         s3 = u3 + u2 * v + u * v2 + v3
         s5 = u2 * s3 + v2 * v2 * (u + v)
-        nl = self.lam * float(np.dot(self.w_rho, dphi * (s5 - self.a_pot * s3)))
+        nl = self.lam * ((dphi * (s5 - self.a_pot * s3)) @ self.w_rho)
         return quad + nl, phi_c
 
     def newton_direction(self, x, phi_x, gt, theta):
-        """Tangent Newton step d (the iterate moves to x - d), or None.
+        """Tangent Newton step d; the iterate moves to x - d.
 
         Solves the bordered KKT system [[H - theta*I, x], [x^T, 0]] for the
         exact Hessian H of F. The block H - theta*I is shifted by mu*x.x^T,
         which leaves it unchanged on the tangent space, and factored by
-        Cholesky; a failed factorization means the reduced Hessian is not
-        positive definite, where Newton could head for a saddle. The two
-        triangular solves use numpy's general solver: scipy's triangular
-        and Cholesky solvers would add about 0.7 MB of LAPACK pages to the
-        process's resident memory.
+        Cholesky. The two triangular solves use numpy's general solver:
+        scipy's triangular and Cholesky solvers would add about 0.7 MB of
+        LAPACK pages to the process's resident memory.
+
+        A failed factorization means the reduced Hessian is not positive
+        definite, where Newton could head for a saddle. The step is then
+        |R|^-1 gt, with R the block projected onto the tangent space plus
+        the same shift along x and |R| its eigendecomposition with the
+        eigenvalues replaced by their absolute values (floored at 1e-8 of
+        the largest), so every negative-curvature direction is descended.
         """
         ph2 = phi_x * phi_x
         curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
         shifted = self.mat + (self.psi * curv) @ self.psi.T
         shifted[np.diag_indices_from(shifted)] -= theta
-        mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / float(np.dot(x, x))
+        norm_sq = float(np.dot(x, x))
+        mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / norm_sq
+        border = mu * np.outer(x, x)
         try:
-            low = np.linalg.cholesky(shifted + mu * np.outer(x, x))
+            low = np.linalg.cholesky(shifted + border)
         except np.linalg.LinAlgError:
-            return None
+            unit = x / math.sqrt(norm_sq)
+            proj = np.eye(len(x)) - np.outer(unit, unit)
+            evals, evecs = np.linalg.eigh(proj @ shifted @ proj + border)
+            scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
+            d = evecs @ ((evecs.T @ gt) / scale)
+            return d - float(np.dot(unit, d)) * unit
         z_g, z_x = np.linalg.solve(low.T, np.linalg.solve(low, np.column_stack((gt, x)))).T
         return z_g - (float(np.dot(x, z_g)) / float(np.dot(x, z_x))) * z_x
 
 
-def _descend(x0, q0, problem, grad_tol, max_iter, use_cg, callback):
-    """Descent on the sphere: Newton-KKT steps where the reduced Hessian is
-    positive definite, projected-gradient (optionally CG) steps elsewhere."""
+def _descend(x0, q0, problem, grad_tol, max_iter, callback):
+    """Descent on the sphere along the (eigen-modified) Newton-KKT step."""
     radius = math.sqrt(q0)
     x = x0 * (radius / np.linalg.norm(x0))
     phi_x = problem.phi(x)
     f_led = problem.value(x, phi_x)
     g = problem.gradient(x, phi_x)
-    eta = 1.0
-    d_prev = None
-    gt_prev = None
     iterations = 0
     converged = False
     while iterations < max_iter:
@@ -424,17 +438,10 @@ def _descend(x0, q0, problem, grad_tol, max_iter, use_cg, callback):
             break
         theta = float(np.dot(x, g)) / q0
         d = problem.newton_direction(x, phi_x, gt, theta)
-        newton = d is not None and np.dot(d, gt) > 0.0
-        if not newton and use_cg and d_prev is not None:
-            prev_tan = gt_prev - np.dot(gt_prev, unit) * unit
-            beta = max(0.0, float(np.dot(gt, gt - prev_tan)) / float(np.dot(gt_prev, gt_prev)))
-            d = gt + beta * (d_prev - np.dot(d_prev, unit) * unit)
-            if np.dot(d, gt) <= 1e-12 * float(np.linalg.norm(d)) * gt_norm:
-                d = gt  # lost the descent property; restart from steepest
-        elif not newton:
-            d = gt
-        eta = 1.0 if newton else min(eta * 2.0, _ETA_MAX)
+        if np.dot(d, gt) <= 0.0:
+            d = gt  # roundoff cost the descent property; take steepest descent
         slope = float(np.dot(d, gt))
+        eta = 1.0
         accepted = False
         while eta > _ETA_MIN:
             y = x - eta * d
@@ -446,7 +453,6 @@ def _descend(x0, q0, problem, grad_tol, max_iter, use_cg, callback):
             eta *= _BACKTRACK
         if not accepted:
             break
-        gt_prev, d_prev = gt, d
         x, phi_x = cand, phi_c
         f_led += df
         g = problem.gradient(x, phi_x)
@@ -500,7 +506,6 @@ def minimize_on_sphere(basis, params, config, callback=None):
             problem,
             config.grad_tol,
             config.max_iter,
-            config.use_cg,
             callback,
         )
         total_iterations += result[3]
