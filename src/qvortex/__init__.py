@@ -11,14 +11,7 @@ constraint's Lagrange multiplier; every closed-form bound the model imposes
 available as a runtime verifier.
 """
 
-from .basis import (
-    SpectralBasis,
-    build_basis,
-    evaluate,
-    evaluate_derivatives,
-    load_basis_cache,
-    save_basis_cache,
-)
+from .basis import SpectralBasis, build_basis, evaluate, evaluate_derivatives
 from .crosscheck import FdSolution, bessel_first_zero, fd_minimize
 from .estimator import NotFittedError, QVortexSolver
 from .model import (
@@ -30,15 +23,13 @@ from .model import (
     potential_derivative,
     theory_bounds,
 )
-from .quadrature import QuadratureGrid, build_grid, integrate
+from .quadrature import QuadratureGrid, build_grid
 from .solver import (
     PROFILE_POINTS,
     SolveConfig,
     VortexSolution,
     check_decay_envelope,
     dense_profile,
-    discrete_functional,
-    functional_gradient,
     minimize_on_sphere,
     recover_omega_sq,
     residual_error,
@@ -57,18 +48,13 @@ __all__ = [
     "p_star_bound",
     "QuadratureGrid",
     "build_grid",
-    "integrate",
     "SpectralBasis",
     "build_basis",
     "evaluate",
     "evaluate_derivatives",
-    "save_basis_cache",
-    "load_basis_cache",
     "SolveConfig",
     "VortexSolution",
     "PROFILE_POINTS",
-    "discrete_functional",
-    "functional_gradient",
     "minimize_on_sphere",
     "recover_omega_sq",
     "residual_error",

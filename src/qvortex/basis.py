@@ -24,24 +24,14 @@ closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureGrid, build_grid
+from .quadrature import QuadratureGrid
 from .validation import check_coeffs, check_positive_int, readonly
 
-__all__ = [
-    "SpectralBasis",
-    "build_basis",
-    "evaluate",
-    "evaluate_derivatives",
-    "save_basis_cache",
-    "load_basis_cache",
-]
-
-CACHE_FORMAT_VERSION = 1
+__all__ = ["SpectralBasis", "build_basis", "evaluate", "evaluate_derivatives"]
 
 _PIVOT_TOL = 1e-12
 _REORTH_TOL = 1e-10
@@ -143,7 +133,7 @@ def build_basis(params, m, grid):
             "nodes per wavelength of the highest mode (need >= 6)"
         )
 
-    s, ds, _ = _sine_tables(m, params.p, grid.nodes)
+    s, ds, d2s = _sine_tables(m, params.p, grid.nodes)
     w_rho = grid.weights * grid.nodes
     w_gram = 4.0 * np.pi * (s * w_rho) @ s.T
 
@@ -160,18 +150,13 @@ def build_basis(params, m, grid):
     k_mat = 0.5 * (k_mat + k_mat.T)
     c_mat = 0.5 * (c_mat + c_mat.T)
 
-    return _assemble(m, g, k_mat, c_mat, grid, params.p, resid)
-
-
-def _assemble(m, g, k_mat, c_mat, grid, p, resid):
-    s, ds, d2s = _sine_tables(m, p, grid.nodes)
     return SpectralBasis(
         m=m,
         gs_matrix=readonly(g),
         k_matrix=readonly(k_mat),
         c_matrix=readonly(c_mat),
         grid=grid,
-        p=p,
+        p=params.p,
         psi_nodes=readonly(g @ s),
         dpsi_nodes=readonly(g @ ds),
         d2psi_nodes=readonly(g @ d2s),
@@ -184,15 +169,20 @@ def _sine_coeffs(basis, coeffs):
     return a @ basis.gs_matrix
 
 
+def _radii(basis, rho):
+    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
+    if np.any(rho_arr < 0.0) or np.any(rho_arr > basis.p):
+        raise ValueError(f"rho outside [0, {basis.p}]")
+    return rho_arr
+
+
 def evaluate(basis, coeffs, rho):
     """Profile value phi(rho) = sum_j coeffs[j] * psi_j(rho).
 
     rho may be a scalar or ndarray in the closed interval [0, p]. The
     Dirichlet endpoints return exactly 0.
     """
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr < 0.0) or np.any(rho_arr > basis.p):
-        raise ValueError(f"rho outside [0, {basis.p}]")
+    rho_arr = _radii(basis, rho)
     c = _sine_coeffs(basis, coeffs)
     k = np.arange(1, basis.m + 1)
     values = np.sin(rho_arr[:, None] * (k * (np.pi / basis.p))[None, :]) @ c
@@ -200,77 +190,18 @@ def evaluate(basis, coeffs, rho):
     return values if np.ndim(rho) else float(values[0])
 
 
-def _derivatives_arrays(basis, coeffs, rho_arr):
+def evaluate_derivatives(basis, coeffs, rho):
+    """First and second radial derivatives (phi_rho, phi_rhorho) at rho.
+
+    rho may be a scalar or ndarray in the closed interval [0, p]; at the
+    endpoints the values are the limits of the differentiated sine series.
+    """
+    rho_arr = _radii(basis, rho)
     c = _sine_coeffs(basis, coeffs)
     freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
     arg = rho_arr[:, None] * freq[None, :]
     d1 = np.cos(arg) @ (c * freq)
     d2 = -np.sin(arg) @ (c * freq**2)
-    return d1, d2
-
-
-def evaluate_derivatives(basis, coeffs, rho):
-    """First and second radial derivatives (phi_rho, phi_rhorho) at rho.
-
-    rho must lie strictly inside (0, p); endpoint derivative queries are
-    rejected because the radial operator is singular there.
-    """
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr <= 0.0) or np.any(rho_arr >= basis.p):
-        raise ValueError(f"rho outside the open interval (0, {basis.p})")
-    d1, d2 = _derivatives_arrays(basis, coeffs, rho_arr)
     if np.ndim(rho):
         return d1, d2
     return float(d1[0]), float(d2[0])
-
-
-def save_basis_cache(basis, path):
-    """Write (G, K, C) keyed by (p, m, grid signature) as documented JSON.
-
-    Matrices are stored row-major; the grid itself is rebuilt on load from
-    its defining parameters.
-    """
-    payload = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "p": basis.p,
-        "m": basis.m,
-        "grid": {
-            "panels": basis.grid.panels,
-            "order_per_panel": basis.grid.order_per_panel,
-        },
-        "orthonormality_residual": basis.orthonormality_residual,
-        "gs_matrix": basis.gs_matrix.ravel().tolist(),
-        "k_matrix": basis.k_matrix.ravel().tolist(),
-        "c_matrix": basis.c_matrix.ravel().tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_basis_cache(path, expect=None):
-    """Load a cached basis; optionally check it matches (p, m, signature).
-
-    expect, when given, is a (p, m, panels, order_per_panel) tuple; a
-    mismatch raises ValueError rather than silently returning a basis built
-    for different resolution.
-    """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != CACHE_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported basis cache version {payload.get('format_version')!r}"
-        )
-    p = float(payload["p"])
-    m = int(payload["m"])
-    panels = int(payload["grid"]["panels"])
-    order = int(payload["grid"]["order_per_panel"])
-    if expect is not None and (p, m, panels, order) != tuple(expect):
-        raise ValueError(
-            f"basis cache key (p={p}, m={m}, panels={panels}, order={order}) "
-            f"does not match expected {tuple(expect)}"
-        )
-    grid = build_grid(p, panels, order)
-    g = np.asarray(payload["gs_matrix"], dtype=float).reshape(m, m)
-    k_mat = np.asarray(payload["k_matrix"], dtype=float).reshape(m, m)
-    c_mat = np.asarray(payload["c_matrix"], dtype=float).reshape(m, m)
-    return _assemble(m, g, k_mat, c_mat, grid, p, float(payload["orthonormality_residual"]))

@@ -13,12 +13,14 @@ verify         : run the invariant suite and print one PASS/FAIL line per
 oracle-compare : spectral vs finite-difference solver at one (n, q0);
                  oracle_compare.json
 
-Configuration is a flat key=value text file (see RunConfig for the keys),
-overridable per key with --set key=value and with the dedicated flags. The
-fully resolved configuration and the package version are echoed into every
-output file, and outputs are byte-deterministic for a fixed configuration
-and seed: floats are written with 17 significant digits (lossless for
-doubles) and nothing time- or host-dependent is emitted.
+Configuration is a flat key=value text file, overridable per key with
+--set key=value and with the dedicated flags. The keys and their defaults
+are CONFIG_DEFAULTS: the fields of ModelParams, the discretization and the
+numeric options of SolveConfig (estimator.PIPELINE_DEFAULTS), and
+output_dir. The fully resolved configuration and the package version are
+echoed into every output file, and outputs are byte-deterministic for a
+fixed configuration and seed: floats are written with 17 significant digits
+(lossless for doubles) and nothing time- or host-dependent is emitted.
 """
 
 from __future__ import annotations
@@ -26,16 +28,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis import _derivatives_arrays, build_basis, evaluate
+from .basis import build_basis, evaluate, evaluate_derivatives
 from .crosscheck import bessel_first_zero, fd_minimize
+from .estimator import PIPELINE_DEFAULTS, split_config
 from .model import (
-    ModelParams,
     satisfies_amplitude_ceiling,
     satisfies_necessary_condition,
     satisfies_norm_threshold,
@@ -52,42 +54,17 @@ from .solver import (
 )
 from .sweep import sweep_n, sweep_q0
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 TABLE1_Q0 = (10.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 TABLE2_N = (1, 2, 3, 4, 5)
 TABLE2_Q0 = 100.0
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration; every field can come from the config file."""
-
-    lam: float = 1.0
-    a_pot: float = 2.0
-    b: float = 1.1
-    n: int = 1
-    p: float = 20.0
-    basis_size: int = 60
-    quad_panels: int = 48
-    quad_order: int = 8
-    grad_tol: float = 1e-8
-    max_iter: int = 20000
-    restarts: int = 2
-    rng_seed: int = 0
-    output_dir: str = "out"
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+CONFIG_DEFAULTS = {**PIPELINE_DEFAULTS, "output_dir": "out"}
 
 
 def _coerce(key, raw):
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+    return type(CONFIG_DEFAULTS[key])(raw)
 
 
 def parse_config_file(path):
@@ -100,15 +77,20 @@ def parse_config_file(path):
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in CONFIG_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _coerce(key, raw)
     return values
 
 
 def resolve_config(args):
-    """Defaults, then config file, then --set overrides, then flags."""
-    values = {}
+    """Defaults, then config file, then --set overrides, then flags.
+
+    Returns the resolved key table, its ModelParams, and its SolveConfig
+    with a placeholder q0 that each command replaces. Invalid values raise
+    ValueError here, before any command runs.
+    """
+    values = dict(CONFIG_DEFAULTS)
     if args.config:
         values.update(parse_config_file(args.config))
     for item in args.set or []:
@@ -116,7 +98,7 @@ def resolve_config(args):
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in CONFIG_DEFAULTS:
             raise ValueError(f"unknown config key {key!r} in --set")
         values[key] = _coerce(key, raw)
     if args.m is not None:
@@ -127,7 +109,8 @@ def resolve_config(args):
         values["rng_seed"] = int(args.seed)
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    return RunConfig(**values)
+    params, solve = split_config(values)
+    return values, params, SolveConfig(q0=1.0, **solve)
 
 
 def _fmt(value):
@@ -139,10 +122,7 @@ def _fmt(value):
 
 
 def _config_echo(cfg, extra=None):
-    items = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
-    if extra:
-        items.update(extra)
-    return dict(sorted(items.items()))
+    return dict(sorted({**cfg, **(extra or {})}.items()))
 
 
 def _csv_text(cfg, header, rows, extra=None):
@@ -164,23 +144,9 @@ def _write_json(path, payload):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _model_params(cfg):
-    return ModelParams(lam=cfg.lam, a_pot=cfg.a_pot, b=cfg.b, n=cfg.n, p=cfg.p)
-
-
 def _build(cfg, params):
-    grid = build_grid(params.p, cfg.quad_panels, cfg.quad_order)
-    return build_basis(params, cfg.basis_size, grid)
-
-
-def _solve_config(cfg, q0):
-    return SolveConfig(
-        q0=q0,
-        grad_tol=cfg.grad_tol,
-        max_iter=cfg.max_iter,
-        restarts=cfg.restarts,
-        rng_seed=cfg.rng_seed,
-    )
+    grid = build_grid(params.p, cfg["quad_panels"], cfg["quad_order"])
+    return build_basis(params, cfg["basis_size"], grid)
 
 
 def _stage(name):
@@ -196,18 +162,16 @@ def _stage(name):
     return decorate
 
 
-def cmd_solve(cfg, q0):
-    out = Path(cfg.output_dir)
-    params = _stage("config")(_model_params)(cfg)
+def cmd_solve(cfg, params, solve, q0):
+    out = Path(cfg["output_dir"])
     q0 = float(q0)
     if q0 <= 0.0:
         raise RuntimeError(f"[config] q0 must be positive, got {q0}")
     basis = _stage("basis")(_build)(cfg, params)
-    sol = _stage("solve")(minimize_on_sphere)(basis, params, _solve_config(cfg, q0))
+    sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
 
     rho, phi = dense_profile(basis, sol.coeffs)
-    # endpoint rows carry the analytic series limits of the derivatives
-    d1, d2 = _derivatives_arrays(basis, sol.coeffs, rho)
+    d1, d2 = evaluate_derivatives(basis, sol.coeffs, rho)
     profile_rows = zip(rho.tolist(), phi.tolist(), d1.tolist(), d2.tolist())
     extra = {"q0": q0}
     _write(
@@ -293,12 +257,11 @@ def _records_csv(cfg, path, first_col, records, extra):
     _write(path, _csv_text(cfg, header, rows, extra))
 
 
-def cmd_table1(cfg):
-    out = Path(cfg.output_dir)
-    params = _stage("config")(_model_params)(cfg)
+def cmd_table1(cfg, params, solve):
+    out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     records = _stage("solve")(sweep_q0)(
-        params, basis, list(TABLE1_Q0), _solve_config(cfg, TABLE1_Q0[0])
+        params, basis, list(TABLE1_Q0), replace(solve, q0=TABLE1_Q0[0])
     )
     _records_csv(cfg, out / "table1.csv", "q0", records, {"q0_list": ";".join(map(_fmt, TABLE1_Q0))})
     bad = [rec.q0 for rec in records if not rec.converged]
@@ -309,12 +272,11 @@ def cmd_table1(cfg):
     return 0
 
 
-def cmd_table2(cfg):
-    out = Path(cfg.output_dir)
-    params = _stage("config")(_model_params)(cfg)
+def cmd_table2(cfg, params, solve):
+    out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     records = _stage("solve")(sweep_n)(
-        params, basis, list(TABLE2_N), TABLE2_Q0, _solve_config(cfg, TABLE2_Q0)
+        params, basis, list(TABLE2_N), TABLE2_Q0, replace(solve, q0=TABLE2_Q0)
     )
     _records_csv(cfg, out / "table2.csv", "n", records, {"q0": TABLE2_Q0})
     bad = [rec.n for rec in records if not rec.converged]
@@ -325,17 +287,16 @@ def cmd_table2(cfg):
     return 0
 
 
-def cmd_dispersion(cfg, q0_min, q0_max, points):
-    out = Path(cfg.output_dir)
+def cmd_dispersion(cfg, params, solve, q0_min, q0_max, points):
+    out = Path(cfg["output_dir"])
     if not q0_min < q0_max:
         raise RuntimeError(f"[config] need q0_min < q0_max, got {q0_min} >= {q0_max}")
     if points < 2:
         raise RuntimeError(f"[config] need points >= 2, got {points}")
-    params = _stage("config")(_model_params)(cfg)
     basis = _stage("basis")(_build)(cfg, params)
     q0_values = np.geomspace(q0_min, q0_max, points)
     records = _stage("solve")(sweep_q0)(
-        params, basis, q0_values.tolist(), _solve_config(cfg, q0_values[0])
+        params, basis, q0_values.tolist(), replace(solve, q0=q0_values[0])
     )
     bounds = theory_bounds(params)
     rows = [("solution", rec.q0, rec.omega_sq) for rec in records]
@@ -351,7 +312,7 @@ def cmd_dispersion(cfg, q0_min, q0_max, points):
     return 0
 
 
-def cmd_verify(cfg, decay_p0=None):
+def cmd_verify(cfg, params, solve, decay_p0=None):
     results = []
 
     def report(name, ok, detail):
@@ -359,10 +320,8 @@ def cmd_verify(cfg, decay_p0=None):
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         return ok
 
-    params = None
     basis = None
     try:
-        params = _model_params(cfg)
         basis = _build(cfg, params)
         resid = basis.orthonormality_residual
         report("orthonormality", resid < 1e-8, f"residual {resid:.3e}")
@@ -374,10 +333,10 @@ def cmd_verify(cfg, decay_p0=None):
             report(name, False, "skipped: basis unavailable")
         return 1
 
-    err = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=cfg.rng_seed)
+    err = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=solve.rng_seed)
     report("gradient_fd", err < 1e-4, f"max relative error {err:.3e}")
 
-    sol = minimize_on_sphere(basis, params, _solve_config(cfg, 100.0))
+    sol = minimize_on_sphere(basis, params, replace(solve, q0=100.0))
     bounds = theory_bounds(params)
     nec = satisfies_necessary_condition(sol.omega_sq, params)
     ceil_ok, _ = satisfies_amplitude_ceiling(sol.phi_max, sol.omega_sq, params)
@@ -395,7 +354,7 @@ def cmd_verify(cfg, decay_p0=None):
     )
     report("decay", dec_app and dec_ok, f"p0 {p0}, worst excess {dec_worst:.3e}")
 
-    lin = minimize_on_sphere(basis, params, _solve_config(cfg, 0.01))
+    lin = minimize_on_sphere(basis, params, replace(solve, q0=0.01))
     target = 2.0 * params.lam * params.b + (bessel_first_zero(abs(params.n)) / params.p) ** 2
     report(
         "linear_limit",
@@ -407,7 +366,7 @@ def cmd_verify(cfg, decay_p0=None):
     spec_sol = (
         sol
         if params.n == 1
-        else minimize_on_sphere(basis, oracle_params, _solve_config(cfg, 100.0))
+        else minimize_on_sphere(basis, oracle_params, replace(solve, q0=100.0))
     )
     fd = fd_minimize(oracle_params, 100.0, n_fd=2000)
     d_omega = abs(fd.omega_sq - spec_sol.omega_sq)
@@ -424,11 +383,10 @@ def cmd_verify(cfg, decay_p0=None):
     return 0 if ok else 1
 
 
-def cmd_oracle_compare(cfg, q0, n, n_fd):
-    out = Path(cfg.output_dir)
-    params = _stage("config")(lambda c: replace(_model_params(c), n=int(n)))(cfg)
+def cmd_oracle_compare(cfg, params, solve, q0, n_fd):
+    out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
-    sol = _stage("solve")(minimize_on_sphere)(basis, params, _solve_config(cfg, q0))
+    sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
     fd = _stage("oracle")(fd_minimize)(params, q0, n_fd=n_fd)
     phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
     d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
@@ -436,7 +394,7 @@ def cmd_oracle_compare(cfg, q0, n, n_fd):
     ok = d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
     payload = {
         "artifact_version": __version__,
-        "config": _config_echo(cfg, {"q0": float(q0), "n": int(n), "n_fd": int(n_fd)}),
+        "config": _config_echo(cfg, {"q0": float(q0), "n_fd": int(n_fd)}),
         "spectral_omega_sq": sol.omega_sq,
         "fd_omega_sq": fd.omega_sq,
         "delta_omega_sq": d_omega,
@@ -497,23 +455,23 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        run = resolve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     try:
         if args.command == "solve":
-            return cmd_solve(cfg, args.q0)
+            return cmd_solve(*run, args.q0)
         if args.command == "table1":
-            return cmd_table1(cfg)
+            return cmd_table1(*run)
         if args.command == "table2":
-            return cmd_table2(cfg)
+            return cmd_table2(*run)
         if args.command == "dispersion":
-            return cmd_dispersion(cfg, args.q0_min, args.q0_max, args.points)
+            return cmd_dispersion(*run, args.q0_min, args.q0_max, args.points)
         if args.command == "verify":
-            return cmd_verify(cfg, args.decay_p0)
+            return cmd_verify(*run, args.decay_p0)
         if args.command == "oracle-compare":
-            return cmd_oracle_compare(cfg, args.q0, cfg.n, args.n_fd)
+            return cmd_oracle_compare(*run, args.q0, args.n_fd)
     except RuntimeError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 2 if "[config]" in str(exc) else 1

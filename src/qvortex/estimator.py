@@ -21,6 +21,7 @@ array([...])
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,6 +32,30 @@ from .solver import SolveConfig, minimize_on_sphere
 
 __all__ = ["QVortexSolver", "NotFittedError"]
 
+_GRID_DEFAULTS = inspect.signature(build_grid).parameters
+
+# The flat configuration of the pipeline, shared by this estimator and the
+# command line: the fields of ModelParams, the discretization, and the
+# numeric options of SolveConfig (q0 has no default; initial_guess and
+# custom_coeffs are not numbers). Defaults are taken from where they are
+# declared: the dataclasses and build_grid's signature.
+PIPELINE_DEFAULTS = {
+    **{f.name: f.default for f in fields(ModelParams)},
+    "basis_size": 60,
+    "quad_panels": _GRID_DEFAULTS["panels"].default,
+    "quad_order": _GRID_DEFAULTS["order_per_panel"].default,
+    **{f.name: f.default for f in fields(SolveConfig) if isinstance(f.default, (int, float))},
+}
+
+_PARAMS = {**PIPELINE_DEFAULTS, "q0": 100.0, "initial_guess": SolveConfig.initial_guess}
+
+
+def split_config(values):
+    """ModelParams and the SolveConfig keyword arguments of a flat key mapping."""
+    params = ModelParams(**{f.name: values[f.name] for f in fields(ModelParams)})
+    solve = {f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
+    return params, solve
+
 
 class NotFittedError(ValueError, AttributeError):
     """Raised when predict or solution attributes are used before fit."""
@@ -39,16 +64,15 @@ class NotFittedError(ValueError, AttributeError):
 class QVortexSolver:
     """Compute one spinning-soliton ground state at a prescribed norm.
 
-    Parameters (all stored verbatim; validation happens in fit)
+    Parameters (keyword-only, all stored verbatim; validation happens in fit)
     ----------
-    lam, a_pot, b : potential coefficients, with b > a_pot^2/4
-    n             : winding number, |n| >= 1
-    p             : disk radius
-    q0            : prescribed reduced norm
-    basis_size    : number of orthonormalized sine modes
-    quad_panels, quad_order : composite Gauss rule resolution
-    grad_tol, max_iter, restarts, initial_guess, rng_seed :
-        forwarded to SolveConfig
+    lam, a_pot, b, n, p :
+        the fields of ModelParams, with its defaults
+    basis_size, quad_panels, quad_order :
+        number of orthonormalized sine modes and the composite Gauss rule
+    grad_tol, max_iter, restarts, rng_seed, initial_guess :
+        forwarded to SolveConfig, with its defaults
+    q0 : prescribed reduced norm (default 100.0)
 
     Attributes set by fit
     ---------------------
@@ -57,55 +81,32 @@ class QVortexSolver:
     bounds_ (TheoryBounds for the fitted parameters)
     """
 
-    def __init__(
-        self,
-        lam=1.0,
-        a_pot=2.0,
-        b=1.1,
-        n=1,
-        p=20.0,
-        q0=100.0,
-        basis_size=60,
-        quad_panels=48,
-        quad_order=8,
-        grad_tol=1e-8,
-        max_iter=20000,
-        restarts=2,
-        initial_guess="ring_bump",
-        rng_seed=0,
-    ):
-        self.lam = lam
-        self.a_pot = a_pot
-        self.b = b
-        self.n = n
-        self.p = p
-        self.q0 = q0
-        self.basis_size = basis_size
-        self.quad_panels = quad_panels
-        self.quad_order = quad_order
-        self.grad_tol = grad_tol
-        self.max_iter = max_iter
-        self.restarts = restarts
-        self.initial_guess = initial_guess
-        self.rng_seed = rng_seed
+    def __init__(self, **params):
+        unknown = sorted(set(params) - set(_PARAMS))
+        if unknown:
+            raise TypeError(f"QVortexSolver got unexpected parameters {unknown}")
+        for name, default in _PARAMS.items():
+            setattr(self, name, params.get(name, default))
 
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
+    __init__.__signature__ = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        + [
+            inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=default)
+            for name, default in _PARAMS.items()
+        ]
+    )
 
     def get_params(self, deep=True):
         """Constructor parameters as a dict (scikit-learn protocol)."""
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name) for name in _PARAMS}
 
     def set_params(self, **params):
         """Set constructor parameters; unknown names raise ValueError."""
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in _PARAMS:
                 raise ValueError(
                     f"invalid parameter {name!r} for QVortexSolver; "
-                    f"valid parameters are {sorted(valid)}"
+                    f"valid parameters are {sorted(_PARAMS)}"
                 )
             setattr(self, name, value)
         return self
@@ -116,18 +117,10 @@ class QVortexSolver:
         X and y are accepted and ignored for pipeline compatibility: the
         problem is fully specified by the constructor parameters.
         """
-        params = ModelParams(lam=self.lam, a_pot=self.a_pot, b=self.b, n=self.n, p=self.p)
+        params, solve = split_config(self.get_params())
         grid = build_grid(params.p, self.quad_panels, self.quad_order)
         basis = build_basis(params, self.basis_size, grid)
-        config = SolveConfig(
-            q0=self.q0,
-            grad_tol=self.grad_tol,
-            max_iter=self.max_iter,
-            initial_guess=self.initial_guess,
-            restarts=self.restarts,
-            rng_seed=self.rng_seed,
-        )
-        solution = minimize_on_sphere(basis, params, config)
+        solution = minimize_on_sphere(basis, params, SolveConfig(**solve))
         self.model_params_ = params
         self.basis_ = basis
         self.solution_ = solution

@@ -15,7 +15,7 @@ import numpy as np
 
 from .validation import check_positive, check_positive_int, readonly
 
-__all__ = ["QuadratureGrid", "build_grid", "integrate"]
+__all__ = ["QuadratureGrid", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,6 @@ class QuadratureGrid:
     panels: int
     order_per_panel: int
     p: float
-
-    @property
-    def signature(self):
-        """Key identifying the rule, used by the basis cache."""
-        return (self.p, self.panels, self.order_per_panel)
 
 
 def build_grid(p, panels=48, order_per_panel=8):
@@ -57,26 +52,3 @@ def build_grid(p, panels=48, order_per_panel=8):
         p=p,
     )
 
-
-def integrate(grid, integrand):
-    """Apply the rule: sum_k w_k * integrand(node_k).
-
-    The integrand may be scalar-valued or vectorized over ndarray input.
-    Non-finite values are rejected with an error naming the offending node.
-    """
-    try:
-        values = np.asarray(integrand(grid.nodes), dtype=float)
-        if values.shape != grid.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        values = np.fromiter(
-            (float(integrand(x)) for x in grid.nodes), dtype=float, count=grid.nodes.size
-        )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"integrand returned non-finite value {values[k]!r} at node "
-            f"rho = {grid.nodes[k]!r} (index {k})"
-        )
-    return float(np.dot(grid.weights, values))

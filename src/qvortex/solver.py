@@ -60,8 +60,6 @@ __all__ = [
     "SolveConfig",
     "VortexSolution",
     "PROFILE_POINTS",
-    "discrete_functional",
-    "functional_gradient",
     "minimize_on_sphere",
     "recover_omega_sq",
     "residual_error",
@@ -152,30 +150,6 @@ def _nonlinear_gradient(phi, psi_nodes, w_rho, lam, a_pot):
     """Gradient of _nonlinear_energy with respect to the coefficients."""
     ph2 = phi * phi
     return lam * (psi_nodes @ (w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * a_pot))))
-
-
-def discrete_functional(coeffs, basis, params, q0):
-    """Value of F(a); q0 enters only through the additive constant."""
-    a = check_coeffs("coeffs", coeffs, basis.m)
-    q0 = check_positive("q0", q0)
-    mat = basis.k_matrix + params.n**2 * basis.c_matrix
-    phi = a @ basis.psi_nodes
-    w_rho = basis.grid.weights * basis.grid.nodes
-    const = params.lam * params.b * q0 / (4.0 * math.pi)
-    return 0.5 * float(a @ (mat @ a)) + const + _nonlinear_energy(
-        phi, w_rho, params.lam, params.a_pot
-    )
-
-
-def functional_gradient(coeffs, basis, params):
-    """Euclidean gradient of F: (K + n^2 C) a + lam * g_nl."""
-    a = check_coeffs("coeffs", coeffs, basis.m)
-    mat = basis.k_matrix + params.n**2 * basis.c_matrix
-    phi = a @ basis.psi_nodes
-    w_rho = basis.grid.weights * basis.grid.nodes
-    return mat @ a + _nonlinear_gradient(
-        phi, basis.psi_nodes, w_rho, params.lam, params.a_pot
-    )
 
 
 def recover_omega_sq(coeffs, basis, params, q0):
@@ -277,7 +251,7 @@ def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
         v = rng.standard_normal(basis.m)
         a = math.sqrt(q0) * v / np.linalg.norm(v)
         phi_a = problem.phi(a)
-        g = functional_gradient(a, basis, params)
+        g = problem.gradient(a, phi_a)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
         plus = problem.delta(a, phi_a, a + steps)[0]
         minus = problem.delta(a, phi_a, a - steps)[0]
@@ -323,6 +297,11 @@ def _rowdot(u, v):
 
 class _SphereProblem:
     """F minus its additive constant, with machine-accurate differences.
+
+    value() and gradient() are F(a) - lam*b*q0/(4*pi) and its Euclidean
+    gradient (K + n^2 C) a + lam * g_nl; the constant cannot move the
+    minimizer, so minimize_on_sphere adds it back only to the reported
+    value.
 
     Near the minimizer the Armijo test must resolve decreases far below the
     roundoff of F itself, so the line search never compares two absolute

@@ -27,10 +27,6 @@ def check_positive_int(name, value, minimum=1):
     return v
 
 
-def check_nonneg_int(name, value):
-    return check_positive_int(name, value, minimum=0)
-
-
 def check_finite(name, value):
     v = float(value)
     if not np.isfinite(v):

@@ -10,8 +10,6 @@ from qvortex import (
     build_grid,
     evaluate,
     evaluate_derivatives,
-    load_basis_cache,
-    save_basis_cache,
 )
 from qvortex.basis import _mgs
 
@@ -160,34 +158,22 @@ class TestEvaluateDerivatives:
 
     def test_endpoints_rejected(self, basis):
         a = rand_coeffs(basis.m)
-        for rho in (0.0, 20.0, -1.0, 21.0):
+        for rho in (-1.0, -1e-12, 20.0 + 1e-12, 21.0):
             with pytest.raises(ValueError):
                 evaluate_derivatives(basis, a, rho)
 
+    def test_endpoints_give_the_series_limits(self, basis):
+        # phi = sum c_k sin(k*pi*rho/p): at rho = 0 the first derivative is
+        # sum c_k*f_k and the second vanishes; at rho = p the signs alternate
+        a = rand_coeffs(basis.m)
+        c = a @ basis.gs_matrix
+        freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
+        sign = (-1.0) ** np.arange(1, basis.m + 1)
+        scale = float(np.sum(np.abs(c * freq**2)))
+        d1, d2 = evaluate_derivatives(basis, a, np.array([0.0, 20.0]))
+        np.testing.assert_allclose(
+            d1, [c @ freq, c @ (sign * freq)], rtol=1e-12, atol=1e-14 * scale
+        )
+        assert d2[0] == 0.0
+        assert abs(d2[1]) <= 1e-12 * scale
 
-class TestBasisCache:
-    def test_round_trip(self, basis, tmp_path):
-        path = tmp_path / "basis.json"
-        save_basis_cache(basis, path)
-        loaded = load_basis_cache(path, expect=(20.0, 60, 48, 8))
-        np.testing.assert_array_equal(loaded.gs_matrix, basis.gs_matrix)
-        np.testing.assert_array_equal(loaded.k_matrix, basis.k_matrix)
-        np.testing.assert_array_equal(loaded.c_matrix, basis.c_matrix)
-        np.testing.assert_allclose(loaded.psi_nodes, basis.psi_nodes, rtol=1e-15)
-
-    def test_key_mismatch_rejected(self, basis, tmp_path):
-        path = tmp_path / "basis.json"
-        save_basis_cache(basis, path)
-        with pytest.raises(ValueError, match="does not match"):
-            load_basis_cache(path, expect=(20.0, 30, 48, 8))
-
-    def test_unknown_version_rejected(self, basis, tmp_path):
-        import json
-
-        path = tmp_path / "basis.json"
-        save_basis_cache(basis, path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            load_basis_cache(path)

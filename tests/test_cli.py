@@ -206,3 +206,13 @@ class TestConfigResolution:
     def test_malformed_set_rejected(self, tmp_path, capsys):
         assert run("solve", "--set", "grad_tol", "--out", str(tmp_path)) == 2
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting", ["n=0", "max_iter=0", "restarts=-1", "grad_tol=0"]
+    )
+    def test_invalid_value_is_a_config_error(self, tmp_path, capsys, setting):
+        assert run("solve", "--set", setting, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ")
+        assert setting.split("=")[0] in err
+        assert not any(tmp_path.iterdir())

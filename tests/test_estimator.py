@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from qvortex import NotFittedError, QVortexSolver
+from qvortex import ModelParams, NotFittedError, QVortexSolver, SolveConfig
+from qvortex.cli import CONFIG_DEFAULTS
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +25,22 @@ class TestParamsProtocol:
         assert est.set_params(q0=7.0).q0 == 7.0
         with pytest.raises(ValueError, match="invalid parameter"):
             est.set_params(qq0=1.0)
+        with pytest.raises(TypeError, match="qq0"):
+            QVortexSolver(qq0=1.0)
+
+    def test_cli_and_estimator_share_keys_and_defaults(self):
+        est_defaults = QVortexSolver().get_params()
+        assert list(inspect.signature(QVortexSolver).parameters) == list(est_defaults)
+        assert set(CONFIG_DEFAULTS) == set(est_defaults) - {"q0", "initial_guess"} | {
+            "output_dir"
+        }
+        model, solve = ModelParams(), SolveConfig(q0=1.0)
+        for name, default in est_defaults.items():
+            if name in CONFIG_DEFAULTS:
+                assert CONFIG_DEFAULTS[name] == default, name
+            for source in (model, solve):
+                if hasattr(source, name) and name != "q0":
+                    assert getattr(source, name) == default, name
 
     def test_sklearn_clone_compatibility(self):
         sklearn_base = pytest.importorskip("sklearn.base")

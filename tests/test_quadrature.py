@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qvortex import build_grid, integrate
+from qvortex import build_grid
 
 
 class TestBuildGrid:
@@ -25,7 +25,7 @@ class TestBuildGrid:
 
     def test_degree_one_exactness(self):
         grid = build_grid(20.0, panels=48, order_per_panel=8)
-        assert integrate(grid, lambda r: r) == pytest.approx(200.0, rel=1e-12)
+        assert grid.weights @ grid.nodes == pytest.approx(200.0, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive_length(self, bad):
@@ -45,19 +45,22 @@ class TestBuildGrid:
 
 
 class TestIntegrate:
+    """Accuracy of the rule sum_k w_k * f(node_k)."""
+
     def test_constant(self):
         grid = build_grid(20.0, panels=48, order_per_panel=8)
-        assert integrate(grid, lambda r: np.ones_like(r)) == pytest.approx(20.0, rel=1e-14)
+        assert grid.weights @ np.ones_like(grid.nodes) == pytest.approx(20.0, rel=1e-14)
 
     def test_weighted_sine_square(self):
         # closed form: int_0^P rho*sin^2(pi*rho/P) drho = P^2/4
         grid = build_grid(20.0, panels=40, order_per_panel=10)
-        value = integrate(grid, lambda r: r * np.sin(np.pi * r / 20.0) ** 2)
+        r = grid.nodes
+        value = grid.weights @ (r * np.sin(np.pi * r / 20.0) ** 2)
         assert value == pytest.approx(100.0, abs=1e-10)
 
     def test_quintic_single_panel(self):
         grid = build_grid(1.0, panels=1, order_per_panel=4)
-        assert integrate(grid, lambda r: r**5) == pytest.approx(1.0 / 6.0, abs=1e-14)
+        assert grid.weights @ grid.nodes**5 == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     @pytest.mark.parametrize("order", [2, 3, 5])
     def test_polynomial_exactness_up_to_degree(self, order):
@@ -66,36 +69,20 @@ class TestIntegrate:
         rng = np.random.default_rng(42)
         coeffs = rng.uniform(-2.0, 2.0, size=2 * order)
         exact = sum(c * 2.5 ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
-        value = integrate(grid, lambda r: np.polynomial.polynomial.polyval(r, coeffs))
+        value = grid.weights @ np.polynomial.polynomial.polyval(grid.nodes, coeffs)
         assert value == pytest.approx(exact, rel=1e-13)
 
     def test_inverse_rho_is_finite_on_interior_nodes(self):
         grid = build_grid(20.0, panels=48, order_per_panel=8)
-        assert math.isfinite(integrate(grid, lambda r: 1.0 / r))
+        assert math.isfinite(grid.weights @ (1.0 / grid.nodes))
 
     def test_refinement_convergence_of_sine_overlap(self):
         def overlap(grid):
-            return integrate(
-                grid,
-                lambda r: r * np.sin(np.pi * r / 20.0) * np.sin(2.0 * np.pi * r / 20.0),
-            )
+            r = grid.nodes
+            return grid.weights @ (r * np.sin(np.pi * r / 20.0) * np.sin(2.0 * np.pi * r / 20.0))
 
         coarse = overlap(build_grid(20.0, panels=48, order_per_panel=8))
         fine = overlap(build_grid(20.0, panels=96, order_per_panel=8))
         assert abs(fine - coarse) < 1e-10
         # closed form: -(8/9) * P^2 / pi^2
         assert fine == pytest.approx(-(8.0 / 9.0) * 400.0 / math.pi**2, rel=1e-12)
-
-    def test_scalar_integrand_supported(self):
-        grid = build_grid(3.0, panels=2, order_per_panel=3)
-        assert integrate(grid, lambda r: float(r) ** 2) == pytest.approx(9.0, rel=1e-13)
-
-    def test_nonfinite_integrand_names_the_node(self):
-        grid = build_grid(20.0, panels=2, order_per_panel=4)
-        target = grid.nodes[3]
-
-        def bad(r):
-            return np.where(r == target, np.nan, r)
-
-        with pytest.raises(ValueError, match="index 3"):
-            integrate(grid, bad)

@@ -12,8 +12,6 @@ from qvortex import (
     build_grid,
     check_decay_envelope,
     dense_profile,
-    discrete_functional,
-    functional_gradient,
     minimize_on_sphere,
     recover_omega_sq,
     residual_error,
@@ -66,26 +64,28 @@ class TestSolveConfig:
 
 
 class TestDiscreteFunctional:
-    def test_zero_coefficients_leave_only_the_constant(self, basis, params):
-        q0 = 123.0
-        value = discrete_functional(np.zeros(basis.m), basis, params, q0)
-        assert value == params.lam * params.b * q0 / (4.0 * math.pi)
+    """F(a) = _SphereProblem.value(a) + lam*b*q0/(4*pi)."""
+
+    def test_zero_coefficients_leave_only_the_constant(self, basis, params, solve):
+        problem = _SphereProblem(basis, params)
+        assert problem.value(np.zeros(basis.m)) == 0.0
+        # the reported functional value adds the constant back
+        sol = solve(100.0)
+        const = params.lam * params.b * 100.0 / (4.0 * math.pi)
+        assert sol.f_value == pytest.approx(problem.value(sol.coeffs) + const, rel=1e-12)
 
     def test_small_norm_single_mode_leading_order(self, basis, params):
         q0 = 1e-6
         a = np.zeros(basis.m)
         a[0] = math.sqrt(q0)
         mat11 = basis.k_matrix[0, 0] + basis.c_matrix[0, 0]
-        expected = 0.5 * q0 * mat11 + params.lam * params.b * q0 / (4.0 * math.pi)
-        assert discrete_functional(a, basis, params, q0) == pytest.approx(
-            expected, abs=1e-12
-        )
+        value = _SphereProblem(basis, params).value(a)
+        assert value == pytest.approx(0.5 * q0 * mat11, abs=1e-12)
 
     def test_even_in_the_coefficients(self, basis, params):
+        problem = _SphereProblem(basis, params)
         a = sphere_point(basis.m, 100.0, seed=3)
-        assert discrete_functional(a, basis, params, 100.0) == discrete_functional(
-            -a, basis, params, 100.0
-        )
+        assert problem.value(a) == problem.value(-a)
 
     def test_nonlinear_homogeneity_degrees(self, basis, params):
         # with the quartic term switched off the remaining terms scale as
@@ -104,13 +104,13 @@ class TestDiscreteFunctional:
 
     def test_dimension_mismatch(self, basis, params):
         with pytest.raises(ValueError):
-            discrete_functional(np.ones(3), basis, params, 1.0)
+            _SphereProblem(basis, params).value(np.ones(3))
 
 
 class TestFunctionalGradient:
     def test_zero_coefficients(self, basis, params):
         np.testing.assert_array_equal(
-            functional_gradient(np.zeros(basis.m), basis, params), np.zeros(basis.m)
+            _SphereProblem(basis, params).gradient(np.zeros(basis.m)), np.zeros(basis.m)
         )
 
     def test_quadratic_plus_nonlinear_decomposition(self, basis, params):
@@ -120,7 +120,7 @@ class TestFunctionalGradient:
         g_nl = _nonlinear_gradient(phi, basis.psi_nodes, w_rho, params.lam, params.a_pot)
         mat = basis.k_matrix + params.n**2 * basis.c_matrix
         np.testing.assert_allclose(
-            functional_gradient(a, basis, params) - g_nl, mat @ a, rtol=1e-12, atol=1e-12
+            _SphereProblem(basis, params).gradient(a) - g_nl, mat @ a, rtol=1e-12, atol=1e-12
         )
 
     def test_matches_finite_differences_on_sphere(self, basis, params):
@@ -242,14 +242,12 @@ class TestMinimize:
 class TestNewtonDirection:
     @staticmethod
     def fd_hessian(basis, params, a, h=1e-5):
+        gradient = _SphereProblem(basis, params).gradient
         cols = []
         for i in range(basis.m):
             e = np.zeros(basis.m)
             e[i] = h
-            cols.append(
-                (functional_gradient(a + e, basis, params)
-                 - functional_gradient(a - e, basis, params)) / (2.0 * h)
-            )
+            cols.append((gradient(a + e) - gradient(a - e)) / (2.0 * h))
         hess = np.array(cols)
         return 0.5 * (hess + hess.T)
 
@@ -259,7 +257,7 @@ class TestNewtonDirection:
         x = np.array(solve(q0).coeffs) + 1e-2 * sphere_point(basis.m, 1.0, seed=7)
         x *= math.sqrt(q0) / np.linalg.norm(x)
         problem = _SphereProblem(basis, params)
-        g = functional_gradient(x, basis, params)
+        g = problem.gradient(x)
         theta = float(x @ g) / q0
         gt = g - theta * x
         d = problem.newton_direction(x, problem.phi(x), gt, theta)
@@ -280,7 +278,7 @@ class TestNewtonDirection:
         q0 = 100.0
         x = np.array(solve(q0).coeffs)
         problem = _SphereProblem(basis, params)
-        g = functional_gradient(x, basis, params)
+        g = problem.gradient(x)
         gt = g - float(x @ g) / q0 * x
         # a multiplier above the whole spectrum of H leaves H - theta*I
         # negative definite on the tangent space, so the Cholesky fails
@@ -372,11 +370,12 @@ class TestOmegaRecovery:
     def test_multiplier_identity_on_the_sphere(self, basis, params, solve):
         # omega_sq = (4*pi/q0) * a.grad F(a) + 2*lam*b holds identically on
         # the constraint sphere, converged or not
+        gradient = _SphereProblem(basis, params).gradient
         for q0, seed in ((100.0, 2), (1000.0, 3)):
             a = sphere_point(basis.m, q0, seed)
             lhs = recover_omega_sq(a, basis, params, q0)
             rhs = (
-                4.0 * math.pi / q0 * float(a @ functional_gradient(a, basis, params))
+                4.0 * math.pi / q0 * float(a @ gradient(a))
                 + 2.0 * params.lam * params.b
             )
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -384,7 +383,7 @@ class TestOmegaRecovery:
         lhs = recover_omega_sq(sol.coeffs, basis, params, 100.0)
         rhs = (
             4.0 * math.pi / 100.0
-            * float(sol.coeffs @ functional_gradient(sol.coeffs, basis, params))
+            * float(sol.coeffs @ gradient(sol.coeffs))
             + 2.0 * params.lam * params.b
         )
         assert lhs == pytest.approx(rhs, abs=1e-6)
