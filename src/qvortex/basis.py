@@ -1,4 +1,4 @@
-"""Orthonormal spectral basis built from sines by modified Gram-Schmidt.
+"""Orthonormal spectral basis built from sines by Gram-Schmidt.
 
 Raw sine modes s_k(rho) = sin(k*pi*rho/p) satisfy the Dirichlet conditions
 but are not orthogonal under the weighted inner product
@@ -7,11 +7,13 @@ but are not orthogonal under the weighted inner product
 
 which is the natural product here because it turns the prescribed-norm
 constraint 4*pi*int(rho*phi^2) = Q0 into a plain sum of squared
-coefficients. Modified Gram-Schmidt in mode order produces psi_j =
-sum_{k<=j} G[j,k] * s_k with (psi_i, psi_j) = delta_ij; the lower-triangular
-G is the basis' defining data, so first and second derivatives of any
-expansion are available analytically through the sine/cosine series rather
-than by numerical differentiation.
+coefficients. Gram-Schmidt in mode order produces psi_j =
+sum_{k<=j} G[j,k] * s_k with (psi_i, psi_j) = delta_ij. It is computed as
+the inverse Cholesky factor: with W[j,k] = (s_j, s_k) = L @ L.T, G = inv(L)
+(Trefethen & Bau, Numerical Linear Algebra, Lectures 8 and 23). The
+lower-triangular G is the basis' defining data, so first and second
+derivatives of any expansion are available analytically through the
+sine/cosine series rather than by numerical differentiation.
 
 Two Galerkin matrices are precomputed on the shared quadrature grid:
 
@@ -34,14 +36,16 @@ from .validation import check_coeffs, check_positive_int, readonly
 __all__ = ["SpectralBasis", "build_basis", "evaluate", "evaluate_derivatives"]
 
 _PIVOT_TOL = 1e-12
-_REORTH_TOL = 1e-10
+_TOO_COARSE = "quadrature grid too coarse to keep the sine modes independent"
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormalized sine basis with precomputed Galerkin matrices.
 
-    gs_matrix is lower triangular: psi_j = sum_k gs_matrix[j, k] * s_k.
+    gs_matrix is lower triangular: psi_j = sum_k gs_matrix[j, k] * s_k. It is
+    Gram-Schmidt in mode order, computed as the inverse Cholesky factor of
+    the raw modes' Gram matrix, so its diagonal is positive.
     psi_nodes / dpsi_nodes / d2psi_nodes sample psi_j and its first two
     derivatives at the quadrature nodes (row j = function j); they are
     derived from gs_matrix and stored for fast functional evaluation.
@@ -70,51 +74,28 @@ def _sine_tables(m, p, rho):
     return s, ds, d2s
 
 
-def _mgs(w_gram):
-    """Modified Gram-Schmidt of the identity under the metric w_gram.
+def _inverse_cholesky(w_gram):
+    """Lower-triangular G with G @ w_gram @ G.T = I, as G = inv(L), w_gram = L @ L.T.
 
-    Returns lower-triangular G with G @ w_gram @ G.T = I. Raises when a
-    pivot falls below the independence threshold, which happens only when
-    the quadrature grid is too coarse to keep the sine modes distinct.
+    This is Gram-Schmidt of the identity in mode order under the metric
+    w_gram, and diag(L) are its pivots. Raises when the factorization fails
+    or a pivot falls below the independence threshold, which happens only
+    when the quadrature grid is too coarse to keep the sine modes distinct.
     """
-    m = w_gram.shape[0]
-    g = np.zeros((m, m))
-    wg = np.zeros((m, m))  # rows: w_gram @ g[i]
-    for j in range(m):
-        v = np.zeros(m)
-        v[j] = 1.0
-        for i in range(j):
-            v -= np.dot(wg[i], v) * g[i]
-        norm = np.sqrt(np.dot(v, w_gram @ v))
-        raw_norm = np.sqrt(w_gram[j, j])
-        if not norm > _PIVOT_TOL * raw_norm:
-            raise RuntimeError(
-                f"Gram-Schmidt pivot {norm:.3e} below {_PIVOT_TOL:.0e} * "
-                f"{raw_norm:.3e} at mode {j + 1}; quadrature grid too coarse "
-                "to keep the sine modes independent"
-            )
-        g[j] = v / norm
-        wg[j] = w_gram @ g[j]
-    return g
-
-
-def _reorthogonalize(g, w_gram):
-    """One extra Gram-Schmidt sweep over already near-orthonormal rows."""
-    out = g.copy()
-    wg = np.zeros_like(g)
-    for j in range(g.shape[0]):
-        v = out[j]
-        for i in range(j):
-            v = v - np.dot(wg[i], v) * out[i]
-        v /= np.sqrt(np.dot(v, w_gram @ v))
-        out[j] = v
-        wg[j] = w_gram @ v
-    return out
-
-
-def _ortho_residual(g, w_gram):
-    gram = g @ w_gram @ g.T
-    return float(np.max(np.abs(gram - np.eye(g.shape[0]))))
+    try:
+        low = np.linalg.cholesky(w_gram)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"Gram-Schmidt pivot not positive ({exc}); {_TOO_COARSE}") from exc
+    pivots = np.diag(low)
+    raw_norms = np.sqrt(np.diag(w_gram))
+    small = np.flatnonzero(~(pivots > _PIVOT_TOL * raw_norms))
+    if small.size:
+        j = small[0]
+        raise RuntimeError(
+            f"Gram-Schmidt pivot {pivots[j]:.3e} below {_PIVOT_TOL:.0e} * "
+            f"{raw_norms[j]:.3e} at mode {j + 1}; {_TOO_COARSE}"
+        )
+    return np.linalg.inv(low)
 
 
 def build_basis(params, m, grid):
@@ -137,11 +118,8 @@ def build_basis(params, m, grid):
     w_rho = grid.weights * grid.nodes
     w_gram = 4.0 * np.pi * (s * w_rho) @ s.T
 
-    g = _mgs(w_gram)
-    resid = _ortho_residual(g, w_gram)
-    if resid > _REORTH_TOL:
-        g = _reorthogonalize(g, w_gram)
-        resid = _ortho_residual(g, w_gram)
+    g = _inverse_cholesky(w_gram)
+    resid = np.max(np.abs(g @ w_gram @ g.T - np.eye(m)))
 
     k_raw = (ds * w_rho) @ ds.T
     c_raw = (s * (grid.weights / grid.nodes)) @ s.T

@@ -38,6 +38,7 @@ from .basis import build_basis, evaluate, evaluate_derivatives
 from .crosscheck import bessel_first_zero, fd_minimize
 from .estimator import PIPELINE_DEFAULTS, split_config
 from .model import (
+    BENCHMARK_Q0,
     satisfies_amplitude_ceiling,
     satisfies_necessary_condition,
     satisfies_norm_threshold,
@@ -58,7 +59,6 @@ __all__ = ["main"]
 
 TABLE1_Q0 = (10.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 TABLE2_N = (1, 2, 3, 4, 5)
-TABLE2_Q0 = 100.0
 
 CONFIG_DEFAULTS = {**PIPELINE_DEFAULTS, "output_dir": "out"}
 
@@ -276,9 +276,9 @@ def cmd_table2(cfg, params, solve):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     records = _stage("solve")(sweep_n)(
-        params, basis, list(TABLE2_N), TABLE2_Q0, replace(solve, q0=TABLE2_Q0)
+        params, basis, list(TABLE2_N), BENCHMARK_Q0, replace(solve, q0=BENCHMARK_Q0)
     )
-    _records_csv(cfg, out / "table2.csv", "n", records, {"q0": TABLE2_Q0})
+    _records_csv(cfg, out / "table2.csv", "n", records, {"q0": BENCHMARK_Q0})
     bad = [rec.n for rec in records if not rec.converged]
     if bad:
         print(f"error [solve]: rows did not converge at n = {bad}", file=sys.stderr)
@@ -333,14 +333,14 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
             report(name, False, "skipped: basis unavailable")
         return 1
 
-    err = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=solve.rng_seed)
+    err = gradient_fd_check(basis, params, q0=BENCHMARK_Q0, n_points=10, seed=solve.rng_seed)
     report("gradient_fd", err < 1e-4, f"max relative error {err:.3e}")
 
-    sol = minimize_on_sphere(basis, params, replace(solve, q0=100.0))
+    sol = minimize_on_sphere(basis, params, replace(solve, q0=BENCHMARK_Q0))
     bounds = theory_bounds(params)
     nec = satisfies_necessary_condition(sol.omega_sq, params)
     ceil_ok, _ = satisfies_amplitude_ceiling(sol.phi_max, sol.omega_sq, params)
-    thr_ok, _ = satisfies_norm_threshold(100.0, sol.omega_sq, params)
+    thr_ok, _ = satisfies_norm_threshold(BENCHMARK_Q0, sol.omega_sq, params)
     window_ok = bounds.omega_sq_min < sol.omega_sq < bounds.omega_sq_max
     report(
         "bounds",
@@ -366,9 +366,9 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
     spec_sol = (
         sol
         if params.n == 1
-        else minimize_on_sphere(basis, oracle_params, replace(solve, q0=100.0))
+        else minimize_on_sphere(basis, oracle_params, replace(solve, q0=BENCHMARK_Q0))
     )
-    fd = fd_minimize(oracle_params, 100.0, n_fd=2000)
+    fd = fd_minimize(oracle_params, BENCHMARK_Q0, n_fd=2000)
     d_omega = abs(fd.omega_sq - spec_sol.omega_sq)
     phi_at_fd = evaluate(basis, spec_sol.coeffs, fd.grid_points)
     d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
@@ -429,7 +429,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common], help="one constrained solve")
-    p_solve.add_argument("--q0", type=float, default=100.0, help="prescribed reduced norm")
+    p_solve.add_argument("--q0", type=float, default=BENCHMARK_Q0, help="prescribed reduced norm")
 
     sub.add_parser("table1", parents=[common], help="norm sweep at n from config")
     sub.add_parser("table2", parents=[common], help="winding sweep 1..5 at q0=100")
@@ -445,7 +445,7 @@ def _build_parser():
 
     p_oracle = sub.add_parser("oracle-compare", parents=[common],
                               help="spectral vs finite-difference cross-check")
-    p_oracle.add_argument("--q0", type=float, default=100.0)
+    p_oracle.add_argument("--q0", type=float, default=BENCHMARK_Q0)
     p_oracle.add_argument("--n-fd", type=int, default=2000)
 
     return parser

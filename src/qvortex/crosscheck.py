@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .validation import check_positive, check_positive_int, readonly
 
@@ -110,6 +109,10 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     omega_sq is recovered from the discrete Rayleigh identity
     omega_sq = (4*pi/q0) * (phi . grad I(phi)).
     """
+    # imported here so that the solve path, which never calls the oracle,
+    # does not pay scipy's import time and memory
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     q0 = check_positive("q0", q0)
     n_fd = check_positive_int("n_fd", n_fd, minimum=100)
     p, n2, lam, a_pot, b = params.p, params.n**2, params.lam, params.a_pot, params.b

@@ -26,9 +26,9 @@ from dataclasses import fields
 import numpy as np
 
 from .basis import build_basis, evaluate
-from .model import ModelParams, theory_bounds
+from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import build_grid
-from .solver import SolveConfig, minimize_on_sphere
+from .solver import _INITIAL_GUESSES, SolveConfig, minimize_on_sphere
 
 __all__ = ["QVortexSolver", "NotFittedError"]
 
@@ -47,7 +47,8 @@ PIPELINE_DEFAULTS = {
     **{f.name: f.default for f in fields(SolveConfig) if isinstance(f.default, (int, float))},
 }
 
-_PARAMS = {**PIPELINE_DEFAULTS, "q0": 100.0, "initial_guess": SolveConfig.initial_guess}
+_PARAMS = {**PIPELINE_DEFAULTS, "q0": BENCHMARK_Q0, "initial_guess": SolveConfig.initial_guess}
+_FIT_GUESSES = tuple(g for g in _INITIAL_GUESSES if g != "custom")
 
 
 def split_config(values):
@@ -70,9 +71,10 @@ class QVortexSolver:
         the fields of ModelParams, with its defaults
     basis_size, quad_panels, quad_order :
         number of orthonormalized sine modes and the composite Gauss rule
-    grad_tol, max_iter, restarts, rng_seed, initial_guess :
+    grad_tol, max_iter, restarts, rng_seed :
         forwarded to SolveConfig, with its defaults
-    q0 : prescribed reduced norm (default 100.0)
+    initial_guess : "ring_bump" (default) or "trapezoid"
+    q0 : prescribed reduced norm (default BENCHMARK_Q0 = 100.0)
 
     Attributes set by fit
     ---------------------
@@ -117,6 +119,11 @@ class QVortexSolver:
         X and y are accepted and ignored for pipeline compatibility: the
         problem is fully specified by the constructor parameters.
         """
+        if self.initial_guess == "custom":
+            raise ValueError(
+                "initial_guess='custom' needs custom_coeffs, which QVortexSolver "
+                f"does not take; use one of {_FIT_GUESSES}"
+            )
         params, solve = split_config(self.get_params())
         grid = build_grid(params.p, self.quad_panels, self.quad_order)
         basis = build_basis(params, self.basis_size, grid)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .validation import check_finite, check_positive
 
 __all__ = [
+    "BENCHMARK_Q0",
     "ModelParams",
     "TheoryBounds",
     "potential",
@@ -40,6 +41,11 @@ __all__ = [
     "satisfies_amplitude_ceiling",
     "satisfies_norm_threshold",
 ]
+
+# The prescribed reduced norm of the benchmark point: the default of the
+# solve entry points, the norm of Table 2, and the norm at which verify
+# checks the gradient, the bounds and the FD oracle.
+BENCHMARK_Q0 = 100.0
 
 
 @dataclass(frozen=True)

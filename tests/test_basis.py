@@ -11,7 +11,7 @@ from qvortex import (
     evaluate,
     evaluate_derivatives,
 )
-from qvortex.basis import _mgs
+from qvortex.basis import _inverse_cholesky
 
 
 def rand_coeffs(m, radius=10.0, seed=7):
@@ -30,8 +30,13 @@ class TestBuildBasis:
     def test_lower_triangular(self, basis):
         assert np.allclose(basis.gs_matrix, np.tril(basis.gs_matrix))
 
-    def test_orthonormality_residual(self, basis):
-        assert basis.orthonormality_residual < 1e-8
+    @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
+    def test_orthonormality_residual(self, params, m, panels):
+        built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
+        assert built.orthonormality_residual < 1e-8
+        g = built.gs_matrix
+        assert np.array_equal(g, np.tril(g))
+        assert np.all(np.diag(g) > 0.0)
 
     def test_gram_matrix_is_identity(self, basis):
         w_rho = basis.grid.weights * basis.grid.nodes
@@ -81,8 +86,20 @@ class TestBuildBasis:
             build_basis(ModelParams(p=10.0), 10, grid)
 
     def test_degenerate_metric_pivot_error(self):
-        with pytest.raises(RuntimeError, match="pivot"):
-            _mgs(np.ones((3, 3)))
+        with pytest.raises(RuntimeError, match="pivot not positive.*too coarse"):
+            _inverse_cholesky(np.ones((3, 3)))
+        # w = L @ L.T for L the identity except its last row (1, 0, .., t, s)
+        # with s**2 = 2**-40 - t**2 ~ 2**-91: positive definite, and the
+        # blocked factorization subtracts the 1 and the t**2 from w[-1, -1]
+        # in separate updates, so it succeeds with a last pivot of ~2e-14
+        m = 64
+        t = 2.0**-20 * (1.0 - 2.0**-52)
+        w = np.eye(m)
+        w[0, -1] = w[-1, 0] = 1.0
+        w[-2, -1] = w[-1, -2] = t
+        w[-1, -1] = 1.0 + 2.0**-40
+        with pytest.raises(RuntimeError, match="pivot 2.0..e-14 below .* mode 64; .*too coarse"):
+            _inverse_cholesky(w)
 
 
 class TestEvaluate:

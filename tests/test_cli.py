@@ -216,3 +216,16 @@ class TestConfigResolution:
         assert err.startswith("error [config]: ")
         assert setting.split("=")[0] in err
         assert not any(tmp_path.iterdir())
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the finite-difference oracle needs scipy, and it imports it itself
+    src = str(Path(qvortex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, qvortex.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"

@@ -77,6 +77,11 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="a_pot"):
             est.fit()
 
+    def test_custom_initial_guess_rejected(self):
+        # SolveConfig needs custom_coeffs for "custom"; the estimator has none
+        with pytest.raises(ValueError, match=r"custom.*\('ring_bump', 'trapezoid'\)"):
+            QVortexSolver(initial_guess="custom").fit()
+
     def test_repr_round_trips_parameters(self):
         est = QVortexSolver(q0=5.0)
         assert "q0=5.0" in repr(est)
