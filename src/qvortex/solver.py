@@ -225,10 +225,10 @@ def check_decay_envelope(basis, coeffs, omega_sq, params, p0=None, points=PROFIL
     if omega_sq >= edge:
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
-    rho, phi = dense_profile(basis, coeffs, points)
-    mask = rho >= p0
-    bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho[mask] - p0))
-    excess = phi[mask] ** 2 - bound
+    rho = np.linspace(0.0, basis.p, points)
+    rho = rho[rho >= p0]
+    bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho - p0))
+    excess = evaluate(basis, coeffs, rho) ** 2 - bound
     worst = float(np.max(excess))
     return True, worst <= 0.0, worst
 
@@ -367,10 +367,13 @@ class _SphereProblem:
 
         Solves the bordered KKT system [[H - theta*I, x], [x^T, 0]] for the
         exact Hessian H of F. The block H - theta*I is shifted by mu*x.x^T,
-        which leaves it unchanged on the tangent space, and factored by
-        Cholesky. The two triangular solves use numpy's general solver:
-        scipy's triangular and Cholesky solvers would add about 0.7 MB of
-        LAPACK pages to the process's resident memory.
+        which leaves it unchanged on the tangent space. Its Cholesky
+        factorization serves only as the positive-definiteness test that
+        picks the Newton step; the step itself comes from one LU solve of
+        the block with both right-hand sides. numpy has no triangular
+        solver, so solving with the Cholesky factors would cost two full LU
+        solves, and scipy's triangular solvers would put scipy on the run
+        path.
 
         A failed factorization means the reduced Hessian is not positive
         definite, where Newton could head for a saddle. The step is then
@@ -382,12 +385,13 @@ class _SphereProblem:
         ph2 = phi_x * phi_x
         curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
         shifted = self.mat + (self.psi * curv) @ self.psi.T
-        shifted[np.diag_indices_from(shifted)] -= theta
+        shifted.flat[:: len(x) + 1] -= theta
         norm_sq = float(np.dot(x, x))
         mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / norm_sq
         border = mu * np.outer(x, x)
+        block = shifted + border
         try:
-            low = np.linalg.cholesky(shifted + border)
+            np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             unit = x / math.sqrt(norm_sq)
             proj = np.eye(len(x)) - np.outer(unit, unit)
@@ -395,7 +399,7 @@ class _SphereProblem:
             scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
             d = evecs @ ((evecs.T @ gt) / scale)
             return d - float(np.dot(unit, d)) * unit
-        z_g, z_x = np.linalg.solve(low.T, np.linalg.solve(low, np.column_stack((gt, x)))).T
+        z_g, z_x = np.linalg.solve(block, np.column_stack((gt, x))).T
         return z_g - (float(np.dot(x, z_g)) / float(np.dot(x, z_x))) * z_x
 
 

@@ -5,11 +5,13 @@ import pytest
 
 from qvortex import (
     ModelParams,
+    SolveConfig,
     bessel_first_zero,
     build_basis,
     build_grid,
     evaluate,
     evaluate_derivatives,
+    minimize_on_sphere,
 )
 from qvortex.basis import _inverse_cholesky
 
@@ -141,6 +143,31 @@ class TestEvaluate:
         values = evaluate(basis, a, rho)
         assert values.shape == rho.shape
         assert values[0] == 0.0 and values[-1] == 0.0
+
+    @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
+    def test_recurrence_matches_direct_tables(self, params, m, panels):
+        # Clenshaw's sums against the sin/cos(k*pi*rho/p) tables, for a converged
+        # profile and a random expansion, including radii next to the endpoints;
+        # the error is relative to sum_k |c_k| * (k*pi/p)**j for derivative j
+        built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
+        converged = minimize_on_sphere(built, params, SolveConfig(q0=100.0, restarts=0))
+        rho = np.concatenate(([0.0, 1e-9, 20.0 - 1e-9, 20.0], np.linspace(0.0, 20.0, 2001)))
+        freq = np.arange(1, m + 1) * (math.pi / 20.0)
+        sin_tab = np.sin(rho[:, None] * freq)
+        cos_tab = np.cos(rho[:, None] * freq)
+        sin_tab[(rho == 0.0) | (rho == 20.0)] = 0.0
+        for a in (converged.coeffs, rand_coeffs(m)):
+            c = a @ built.gs_matrix
+            phi = evaluate(built, a, rho)
+            d1, d2 = evaluate_derivatives(built, a, rho)
+            for j, got, table in [(0, phi, sin_tab), (1, d1, cos_tab), (2, d2, -sin_tab)]:
+                weighted = c * freq**j
+                assert np.max(np.abs(got - table @ weighted)) <= 1e-12 * np.sum(np.abs(weighted))
+
+    def test_scalar_input_returns_floats(self, basis):
+        a = rand_coeffs(basis.m)
+        assert type(evaluate(basis, a, 3.0)) is float
+        assert all(type(v) is float for v in evaluate_derivatives(basis, a, 3.0))
 
 
 class TestEvaluateDerivatives:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qvortex import (
+    PROFILE_POINTS,
     ModelParams,
     SolveConfig,
     bessel_first_zero,
@@ -12,6 +14,7 @@ from qvortex import (
     build_grid,
     check_decay_envelope,
     dense_profile,
+    evaluate,
     minimize_on_sphere,
     recover_omega_sq,
     residual_error,
@@ -237,6 +240,50 @@ class TestMinimize:
         two = minimize_on_sphere(basis, params, cfg)
         np.testing.assert_array_equal(one.coeffs, two.coeffs)
         assert one.omega_sq == two.omega_sq
+
+
+class TestDenseProfileMemory:
+    """The dense profile is summed by recurrence, with no points x modes table.
+
+    Such a table is 2001 x 60 x 8 bytes = 960 KB at m=60; the bound leaves
+    room for about a dozen 2001-point vectors.
+    """
+
+    PEAK_BYTES = 200_000
+
+    def test_post_solve_work_peak(self, basis, params):
+        marks = []
+
+        def mark(*_):
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        try:
+            sol = minimize_on_sphere(
+                basis, params, SolveConfig(q0=100.0, restarts=0), callback=mark
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.converged
+        assert peak - marks[-1] < self.PEAK_BYTES
+
+    def test_dense_profile_peak(self, basis, solve):
+        coeffs = solve(100.0).coeffs
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            dense_profile(basis, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < self.PEAK_BYTES
+
+    def test_phi_max_is_the_dense_grid_maximum(self, basis, solve):
+        sol = solve(100.0)
+        rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
+        assert sol.phi_max == np.max(np.abs(evaluate(basis, sol.coeffs, rho)))
 
 
 class TestNewtonDirection:
