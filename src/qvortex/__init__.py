@@ -34,7 +34,7 @@ from .solver import (
     recover_omega_sq,
     residual_error,
 )
-from .sweep import SweepRecord, locate_omega_crossing, sweep_n, sweep_q0
+from .sweep import sweep_n, sweep_q0
 
 __version__ = "0.1.0"
 
@@ -63,10 +63,8 @@ __all__ = [
     "FdSolution",
     "fd_minimize",
     "bessel_first_zero",
-    "SweepRecord",
     "sweep_q0",
     "sweep_n",
-    "locate_omega_crossing",
     "QVortexSolver",
     "NotFittedError",
     "__version__",

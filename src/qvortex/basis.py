@@ -154,7 +154,7 @@ def _sine_coeffs(basis, coeffs):
 
 def _radii(basis, rho):
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr < 0.0) or np.any(rho_arr > basis.p):
+    if not np.all((rho_arr >= 0.0) & (rho_arr <= basis.p)):
         raise ValueError(f"rho outside [0, {basis.p}]")
     return rho_arr
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .basis import build_basis, evaluate, evaluate_derivatives
-from .crosscheck import bessel_first_zero, fd_minimize
+from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
 from .estimator import PIPELINE_DEFAULTS, split_config
 from .model import (
     BENCHMARK_Q0,
@@ -54,6 +54,7 @@ from .solver import (
     residual_error_split,
 )
 from .sweep import sweep_n, sweep_q0
+from .validation import check_positive, check_positive_int
 
 __all__ = ["main"]
 
@@ -87,8 +88,9 @@ def resolve_config(args):
     """Defaults, then config file, then --set overrides, then flags.
 
     Returns the resolved key table, its ModelParams, and its SolveConfig
-    with a placeholder q0 that each command replaces. Invalid values raise
-    ValueError here, before any command runs.
+    with a placeholder q0 that each command replaces. Invalid values, of
+    the keys and of the command's own flags, raise ValueError here, before
+    any command runs.
     """
     values = dict(CONFIG_DEFAULTS)
     if args.config:
@@ -110,7 +112,26 @@ def resolve_config(args):
     if args.out is not None:
         values["output_dir"] = str(args.out)
     params, solve = split_config(values)
-    return values, params, SolveConfig(q0=1.0, **solve)
+    config = SolveConfig(q0=1.0, **solve)
+    _check_flags(args, params)
+    return values, params, config
+
+
+def _check_flags(args, params):
+    """Reject out-of-range values of the command's own flags."""
+    if args.command in ("solve", "oracle-compare"):
+        check_positive("--q0", args.q0)
+    if args.command == "oracle-compare":
+        check_positive_int("--n-fd", args.n_fd, minimum=N_FD_MIN)
+    if args.command == "dispersion":
+        q0_min = check_positive("--q0-min", args.q0_min)
+        q0_max = check_positive("--q0-max", args.q0_max)
+        if not q0_min < q0_max:
+            raise ValueError(f"need --q0-min < --q0-max, got {q0_min} >= {q0_max}")
+        check_positive_int("--points", args.points, minimum=2)
+    if args.command == "verify" and args.decay_p0 is not None:
+        if not 0.0 < args.decay_p0 < params.p:
+            raise ValueError(f"--decay-p0 must lie in (0, {params.p}), got {args.decay_p0}")
 
 
 def _fmt(value):
@@ -164,9 +185,6 @@ def _stage(name):
 
 def cmd_solve(cfg, params, solve, q0):
     out = Path(cfg["output_dir"])
-    q0 = float(q0)
-    if q0 <= 0.0:
-        raise RuntimeError(f"[config] q0 must be positive, got {q0}")
     basis = _stage("basis")(_build)(cfg, params)
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
 
@@ -241,30 +259,31 @@ def cmd_solve(cfg, params, solve, q0):
     return 0
 
 
-def _records_csv(cfg, path, first_col, records, extra):
+def _records_csv(cfg, path, first_col, keys, solutions, extra):
+    """One row per (key, solution) pair, the key in column first_col."""
     header = [first_col, "omega_sq", "phi_max", "residual_error", "iterations", "converged"]
     rows = [
-        (
-            getattr(rec, first_col),
-            rec.omega_sq,
-            rec.phi_max,
-            rec.residual_error,
-            rec.iterations,
-            rec.converged,
-        )
-        for rec in records
+        (key, sol.omega_sq, sol.phi_max, sol.residual_error, sol.iterations, sol.converged)
+        for key, sol in zip(keys, solutions)
     ]
     _write(path, _csv_text(cfg, header, rows, extra))
+
+
+def _unconverged(keys, solutions):
+    return [key for key, sol in zip(keys, solutions) if not sol.converged]
 
 
 def cmd_table1(cfg, params, solve):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
-    records = _stage("solve")(sweep_q0)(
+    solutions = _stage("solve")(sweep_q0)(
         params, basis, list(TABLE1_Q0), replace(solve, q0=TABLE1_Q0[0])
     )
-    _records_csv(cfg, out / "table1.csv", "q0", records, {"q0_list": ";".join(map(_fmt, TABLE1_Q0))})
-    bad = [rec.q0 for rec in records if not rec.converged]
+    _records_csv(
+        cfg, out / "table1.csv", "q0", TABLE1_Q0, solutions,
+        {"q0_list": ";".join(map(_fmt, TABLE1_Q0))},
+    )
+    bad = _unconverged(TABLE1_Q0, solutions)
     if bad:
         print(f"error [solve]: rows did not converge at q0 = {bad}", file=sys.stderr)
         return 1
@@ -275,11 +294,11 @@ def cmd_table1(cfg, params, solve):
 def cmd_table2(cfg, params, solve):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
-    records = _stage("solve")(sweep_n)(
+    solutions = _stage("solve")(sweep_n)(
         params, basis, list(TABLE2_N), BENCHMARK_Q0, replace(solve, q0=BENCHMARK_Q0)
     )
-    _records_csv(cfg, out / "table2.csv", "n", records, {"q0": BENCHMARK_Q0})
-    bad = [rec.n for rec in records if not rec.converged]
+    _records_csv(cfg, out / "table2.csv", "n", TABLE2_N, solutions, {"q0": BENCHMARK_Q0})
+    bad = _unconverged(TABLE2_N, solutions)
     if bad:
         print(f"error [solve]: rows did not converge at n = {bad}", file=sys.stderr)
         return 1
@@ -289,27 +308,35 @@ def cmd_table2(cfg, params, solve):
 
 def cmd_dispersion(cfg, params, solve, q0_min, q0_max, points):
     out = Path(cfg["output_dir"])
-    if not q0_min < q0_max:
-        raise RuntimeError(f"[config] need q0_min < q0_max, got {q0_min} >= {q0_max}")
-    if points < 2:
-        raise RuntimeError(f"[config] need points >= 2, got {points}")
     basis = _stage("basis")(_build)(cfg, params)
-    q0_values = np.geomspace(q0_min, q0_max, points)
-    records = _stage("solve")(sweep_q0)(
-        params, basis, q0_values.tolist(), replace(solve, q0=q0_values[0])
+    q0_list = np.geomspace(q0_min, q0_max, points).tolist()
+    solutions = _stage("solve")(sweep_q0)(
+        params, basis, q0_list, replace(solve, q0=q0_list[0])
     )
     bounds = theory_bounds(params)
-    rows = [("solution", rec.q0, rec.omega_sq) for rec in records]
+    rows = [("solution", q0, sol.omega_sq) for q0, sol in zip(q0_list, solutions)]
     rows.append(("omega_sq_min", "", bounds.omega_sq_min))
     rows.append(("omega_sq_max", "", bounds.omega_sq_max))
     extra = {"q0_min": q0_min, "q0_max": q0_max, "points": points}
     _write(out / "dispersion.csv", _csv_text(cfg, ["label", "q0", "omega_sq"], rows, extra))
-    bad = [rec.q0 for rec in records if not rec.converged]
+    bad = _unconverged(q0_list, solutions)
     if bad:
         print(f"error [solve]: rows did not converge at q0 = {bad}", file=sys.stderr)
         return 1
     print(f"wrote {out / 'dispersion.csv'}")
     return 0
+
+
+def _oracle_agreement(basis, sol, fd):
+    """(|d omega_sq|, max profile difference on the oracle grid, agree).
+
+    The spectral and finite-difference solutions agree when |d omega_sq| <
+    0.01 and the profiles differ by less than 0.02 * phi_max.
+    """
+    d_omega = abs(fd.omega_sq - sol.omega_sq)
+    phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
+    d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
+    return d_omega, d_prof, d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
 
 
 def cmd_verify(cfg, params, solve, decay_p0=None):
@@ -369,14 +396,8 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
         else minimize_on_sphere(basis, oracle_params, replace(solve, q0=BENCHMARK_Q0))
     )
     fd = fd_minimize(oracle_params, BENCHMARK_Q0, n_fd=2000)
-    d_omega = abs(fd.omega_sq - spec_sol.omega_sq)
-    phi_at_fd = evaluate(basis, spec_sol.coeffs, fd.grid_points)
-    d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
-    report(
-        "oracle_cross",
-        d_omega < 0.01 and d_prof < 0.02 * spec_sol.phi_max,
-        f"|d omega_sq| {d_omega:.2e}, profile diff {d_prof:.2e}",
-    )
+    d_omega, d_prof, agree = _oracle_agreement(basis, spec_sol, fd)
+    report("oracle_cross", agree, f"|d omega_sq| {d_omega:.2e}, profile diff {d_prof:.2e}")
 
     ok = all(results)
     print(f"verify: {'all checks passed' if ok else 'FAILURES present'}")
@@ -388,10 +409,7 @@ def cmd_oracle_compare(cfg, params, solve, q0, n_fd):
     basis = _stage("basis")(_build)(cfg, params)
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
     fd = _stage("oracle")(fd_minimize)(params, q0, n_fd=n_fd)
-    phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
-    d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
-    d_omega = abs(fd.omega_sq - sol.omega_sq)
-    ok = d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
+    d_omega, d_prof, ok = _oracle_agreement(basis, sol, fd)
     payload = {
         "artifact_version": __version__,
         "config": _config_echo(cfg, {"q0": float(q0), "n_fd": int(n_fd)}),
@@ -474,7 +492,7 @@ def main(argv=None):
             return cmd_oracle_compare(*run, args.q0, args.n_fd)
     except RuntimeError as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 2 if "[config]" in str(exc) else 1
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

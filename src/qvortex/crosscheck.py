@@ -22,6 +22,8 @@ from .validation import check_positive, check_positive_int, readonly
 
 __all__ = ["FdSolution", "fd_minimize", "bessel_first_zero"]
 
+N_FD_MIN = 100  # fewest grid intervals fd_minimize accepts
+
 
 def _bessel_j(order, x):
     """J_order(x) by the ascending series; adequate for x below ~20."""
@@ -114,7 +116,7 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
     q0 = check_positive("q0", q0)
-    n_fd = check_positive_int("n_fd", n_fd, minimum=100)
+    n_fd = check_positive_int("n_fd", n_fd, minimum=N_FD_MIN)
     p, n2, lam, a_pot, b = params.p, params.n**2, params.lam, params.a_pot, params.b
 
     h = p / n_fd

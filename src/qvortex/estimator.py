@@ -28,7 +28,7 @@ import numpy as np
 from .basis import build_basis, evaluate
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import build_grid
-from .solver import _INITIAL_GUESSES, SolveConfig, minimize_on_sphere
+from .solver import SolveConfig, minimize_on_sphere
 
 __all__ = ["QVortexSolver", "NotFittedError"]
 
@@ -36,9 +36,9 @@ _GRID_DEFAULTS = inspect.signature(build_grid).parameters
 
 # The flat configuration of the pipeline, shared by this estimator and the
 # command line: the fields of ModelParams, the discretization, and the
-# numeric options of SolveConfig (q0 has no default; initial_guess and
-# custom_coeffs are not numbers). Defaults are taken from where they are
-# declared: the dataclasses and build_grid's signature.
+# numeric options of SolveConfig (q0 has no default; start_coeffs is not a
+# number). Defaults are taken from where they are declared: the dataclasses
+# and build_grid's signature.
 PIPELINE_DEFAULTS = {
     **{f.name: f.default for f in fields(ModelParams)},
     "basis_size": 60,
@@ -47,8 +47,7 @@ PIPELINE_DEFAULTS = {
     **{f.name: f.default for f in fields(SolveConfig) if isinstance(f.default, (int, float))},
 }
 
-_PARAMS = {**PIPELINE_DEFAULTS, "q0": BENCHMARK_Q0, "initial_guess": SolveConfig.initial_guess}
-_FIT_GUESSES = tuple(g for g in _INITIAL_GUESSES if g != "custom")
+_PARAMS = {**PIPELINE_DEFAULTS, "q0": BENCHMARK_Q0}
 
 
 def split_config(values):
@@ -73,8 +72,9 @@ class QVortexSolver:
         number of orthonormalized sine modes and the composite Gauss rule
     grad_tol, max_iter, restarts, rng_seed :
         forwarded to SolveConfig, with its defaults
-    initial_guess : "ring_bump" (default) or "trapezoid"
     q0 : prescribed reduced norm (default BENCHMARK_Q0 = 100.0)
+
+    The solve starts from SolveConfig's default start, the ring bump.
 
     Attributes set by fit
     ---------------------
@@ -119,11 +119,6 @@ class QVortexSolver:
         X and y are accepted and ignored for pipeline compatibility: the
         problem is fully specified by the constructor parameters.
         """
-        if self.initial_guess == "custom":
-            raise ValueError(
-                "initial_guess='custom' needs custom_coeffs, which QVortexSolver "
-                f"does not take; use one of {_FIT_GUESSES}"
-            )
         params, solve = split_config(self.get_params())
         grid = build_grid(params.p, self.quad_panels, self.quad_order)
         basis = build_basis(params, self.basis_size, grid)

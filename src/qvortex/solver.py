@@ -75,27 +75,25 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _ETA_MIN = 1e-18
 
-_INITIAL_GUESSES = ("ring_bump", "trapezoid", "custom")
-
 
 @dataclass(frozen=True)
 class SolveConfig:
     """Options for one constrained solve.
 
-    q0            : prescribed reduced norm, > 0
-    grad_tol      : stop when |tangent grad| <= grad_tol * max(1, |grad|)
-    max_iter      : iteration cap per descent run
-    initial_guess : "ring_bump" (default), "trapezoid", or "custom"
-    custom_coeffs : coefficient vector for initial_guess="custom"
-    restarts      : extra perturbed runs (1% relative noise), lowest F kept
-    rng_seed      : seed for the restart perturbations (determinism)
+    q0           : prescribed reduced norm, > 0
+    grad_tol     : stop when |tangent grad| <= grad_tol * max(1, |grad|)
+    max_iter     : iteration cap per descent run
+    start_coeffs : starting coefficient vector, rescaled onto the sphere;
+                   None (default) starts from the ring bump
+                   rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2)
+    restarts     : extra perturbed runs (1% relative noise), lowest F kept
+    rng_seed     : seed for the restart perturbations (determinism)
     """
 
     q0: float
     grad_tol: float = 1e-8
     max_iter: int = 20000
-    initial_guess: str = "ring_bump"
-    custom_coeffs: tuple | None = None
+    start_coeffs: tuple | None = None
     restarts: int = 2
     rng_seed: int = 0
 
@@ -106,16 +104,9 @@ class SolveConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
-        if self.initial_guess not in _INITIAL_GUESSES:
-            raise ValueError(
-                f"initial_guess must be one of {_INITIAL_GUESSES}, got "
-                f"{self.initial_guess!r}"
-            )
-        if self.initial_guess == "custom" and self.custom_coeffs is None:
-            raise ValueError("initial_guess='custom' requires custom_coeffs")
-        if self.custom_coeffs is not None:
+        if self.start_coeffs is not None:
             object.__setattr__(
-                self, "custom_coeffs", tuple(float(v) for v in self.custom_coeffs)
+                self, "start_coeffs", tuple(float(v) for v in self.start_coeffs)
             )
 
 
@@ -265,10 +256,6 @@ def _ring_bump_nodes(rho, n_abs, p):
     return rho**n_abs * (p - rho) * np.exp(-(((rho - scale) / scale) ** 2))
 
 
-def _trapezoid_nodes(rho, p):
-    return np.minimum(np.minimum(rho, 1.0), p - rho)
-
-
 def _project_to_basis(basis, values):
     """Coefficients of the weighted-orthonormal projection of nodal values."""
     w_rho = basis.grid.weights * basis.grid.nodes
@@ -276,17 +263,15 @@ def _project_to_basis(basis, values):
 
 
 def _initial_coeffs(basis, params, config):
-    if config.initial_guess == "custom":
-        a = check_coeffs("custom_coeffs", np.asarray(config.custom_coeffs), basis.m)
-    elif config.initial_guess == "trapezoid":
-        a = _project_to_basis(basis, _trapezoid_nodes(basis.grid.nodes, basis.p))
-    else:
+    if config.start_coeffs is None:
         a = _project_to_basis(
             basis, _ring_bump_nodes(basis.grid.nodes, abs(params.n), basis.p)
         )
+    else:
+        a = check_coeffs("start_coeffs", np.asarray(config.start_coeffs), basis.m)
     norm = np.linalg.norm(a)
     if norm == 0.0:
-        raise ValueError("initial guess projects to the zero vector")
+        raise ValueError("the start projects to the zero vector")
     return a * (math.sqrt(config.q0) / norm)
 
 
@@ -464,7 +449,7 @@ def _lower(problem, cand, x, q0):
 def minimize_on_sphere(basis, params, config, callback=None):
     """Minimize F on the sphere |a|^2 = q0 and assemble the solution record.
 
-    Runs the configured initial guess plus `restarts` perturbed reruns
+    Runs from the configured start plus `restarts` perturbed reruns
     (1% relative noise seeded by rng_seed) and keeps the lowest final F.
     The callback, when given, receives (iteration, coeffs, f, tangent_grad_norm)
     after every accepted step of every run.

@@ -1,7 +1,8 @@
 """Parameter sweeps over the prescribed norm and the winding number.
 
-Sweeps over the prescribed norm q0 are warm-started by default: each solve
-begins from the previous minimizer rescaled onto the new sphere, which
+Each sweep returns one VortexSolution per input value, in input order.
+Sweeps over the prescribed norm q0 are warm-started: each solve begins from
+the previous converged minimizer rescaled onto the new sphere, which
 preserves the profile shape and cuts iteration counts sharply in the
 flat-top regime. Sweeps over the winding number n reuse a single basis,
 because both Galerkin matrices are n-independent; only the n^2 multiplier
@@ -11,73 +12,36 @@ of the centrifugal matrix changes between rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from .solver import minimize_on_sphere
-from .validation import check_finite, check_positive
+from .validation import check_positive
 
-__all__ = ["SweepRecord", "sweep_q0", "sweep_n", "locate_omega_crossing"]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a norm- or winding-number sweep."""
-
-    q0: float
-    n: int
-    omega_sq: float
-    phi_max: float
-    residual_error: float
-    iterations: int
-    converged: bool
+__all__ = ["sweep_q0", "sweep_n"]
 
 
-def _record(q0, n, sol):
-    return SweepRecord(
-        q0=float(q0),
-        n=int(n),
-        omega_sq=sol.omega_sq,
-        phi_max=sol.phi_max,
-        residual_error=sol.residual_error,
-        iterations=sol.iterations,
-        converged=sol.converged,
-    )
+def sweep_q0(params, basis, q0_list, config):
+    """Solve at each q0 in ascending order; one VortexSolution per value.
 
-
-def _warm_config(config, q0, prev_coeffs, prev_q0):
-    """Rescale the previous minimizer onto the new sphere as the new start."""
-    scaled = tuple(np.asarray(prev_coeffs) * math.sqrt(q0 / prev_q0))
-    return replace(config, q0=q0, initial_guess="custom", custom_coeffs=scaled)
-
-
-def sweep_q0(params, basis, q0_list, config, warm_start=True, keep_solutions=None):
-    """Solve at each q0 in ascending order; one record per value.
-
-    Per-row non-convergence is recorded in the row and the sweep continues.
-    With warm_start=False every row starts from the configured initial
-    guess, which makes rows independent (and parallelizable) at the cost of
-    more iterations. keep_solutions, when a list is passed, receives the
-    full VortexSolution per row in order.
+    The first row starts from config; each later row starts from the last
+    converged minimizer rescaled onto its sphere. Per-row non-convergence
+    is recorded in the solution and the sweep continues.
     """
     q0_list = [check_positive("q0", q) for q in q0_list]
     if any(b <= a for a, b in zip(q0_list, q0_list[1:])):
         raise ValueError(f"q0_list must be strictly ascending, got {q0_list}")
-    records = []
-    prev = None
+    solutions = []
+    warm = None
     for q0 in q0_list:
-        if warm_start and prev is not None:
-            cfg = _warm_config(config, q0, prev[0].coeffs, prev[1])
-        else:
-            cfg = replace(config, q0=q0)
+        cfg = replace(config, q0=q0)
+        if warm is not None:
+            coeffs, warm_q0 = warm
+            cfg = replace(cfg, start_coeffs=tuple(coeffs * math.sqrt(q0 / warm_q0)))
         sol = minimize_on_sphere(basis, params, cfg)
-        records.append(_record(q0, params.n, sol))
-        if keep_solutions is not None:
-            keep_solutions.append(sol)
+        solutions.append(sol)
         if sol.converged:
-            prev = (sol, q0)
-    return records
+            warm = (sol.coeffs, q0)
+    return solutions
 
 
 def sweep_n(params, basis, n_list, q0, config):
@@ -86,76 +50,7 @@ def sweep_n(params, basis, n_list, q0, config):
     One SpectralBasis serves every row: K and C carry no n dependence, the
     n^2 multiplier is applied when the functional is assembled.
     """
-    q0 = check_positive("q0", q0)
-    records = []
-    for n in n_list:
-        row_params = replace(params, n=int(n))
-        sol = minimize_on_sphere(basis, row_params, replace(config, q0=q0))
-        records.append(_record(q0, row_params.n, sol))
-    return records
-
-
-def locate_omega_crossing(params, basis, target_omega_sq, config, tol=1e-3, max_bisect=80):
-    """Bisect on q0 for the norm at which omega_sq(q0) crosses the target.
-
-    Exploits the strict monotone decrease of omega_sq in q0 (from the linear
-    limit at q0 -> 0 down toward the lower window edge). Solves are
-    warm-started from the nearest evaluated bracket endpoint. Raises if the
-    target is outside (lower window edge, linear-limit frequency), or if the
-    computed frequencies violate monotonicity inside the bracket, in which
-    case the offending (q0, omega_sq) pair is reported.
-    """
-    target = check_finite("target_omega_sq", target_omega_sq)
-    omega_min = 2.0 * params.lam * (params.b - params.a_pot**2 / 4.0)
-    if target <= omega_min:
-        raise ValueError(
-            f"target omega_sq {target} is at or below the lower window edge {omega_min}"
-        )
-
-    def solve_at(q0, warm_from=None):
-        if warm_from is None:
-            cfg = replace(config, q0=q0)
-        else:
-            cfg = _warm_config(config, q0, warm_from[1].coeffs, warm_from[0])
-        return minimize_on_sphere(basis, params, cfg)
-
-    lo = 1e-2
-    sol_lo = solve_at(lo)
-    if sol_lo.omega_sq <= target:
-        raise ValueError(
-            f"target omega_sq {target} is not below the linear-limit value "
-            f"{sol_lo.omega_sq} reached at q0 = {lo}"
-        )
-    hi = max(10.0, 2.0 * lo)
-    sol_hi = solve_at(hi, warm_from=(lo, sol_lo))
-    while sol_hi.omega_sq > target:
-        if hi > 1e6:
-            raise ValueError(
-                f"no crossing found below q0 = {hi}: omega_sq = {sol_hi.omega_sq} "
-                f"is still above target {target}"
-            )
-        lo, sol_lo = hi, sol_hi
-        hi *= 4.0
-        sol_hi = solve_at(hi, warm_from=(lo, sol_lo))
-
-    for _ in range(max_bisect):
-        if abs(sol_lo.omega_sq - target) < tol:
-            return lo
-        if abs(sol_hi.omega_sq - target) < tol:
-            return hi
-        mid = math.sqrt(lo * hi)
-        sol_mid = solve_at(mid, warm_from=(lo, sol_lo))
-        if not sol_hi.omega_sq < sol_mid.omega_sq < sol_lo.omega_sq:
-            raise RuntimeError(
-                "monotonicity of omega_sq(q0) violated in the bracket: "
-                f"(q0, omega_sq) = ({mid}, {sol_mid.omega_sq}) against "
-                f"({lo}, {sol_lo.omega_sq}) and ({hi}, {sol_hi.omega_sq})"
-            )
-        if sol_mid.omega_sq > target:
-            lo, sol_lo = mid, sol_mid
-        else:
-            hi, sol_hi = mid, sol_mid
-    raise RuntimeError(
-        f"bisection did not reach |omega_sq - target| < {tol} within "
-        f"{max_bisect} steps; bracket is ({lo}, {hi})"
-    )
+    config = replace(config, q0=check_positive("q0", q0))
+    return [
+        minimize_on_sphere(basis, replace(params, n=int(n)), config) for n in n_list
+    ]

@@ -56,16 +56,14 @@ def solve(basis, params):
 
 @pytest.fixture(scope="session")
 def table1(params, basis):
-    """(records, solutions, wall seconds) of the warm-started norm sweep."""
-    solutions = []
+    """([(q0, solution), ...], wall seconds) of the warm-started norm sweep."""
     start = time.perf_counter()
-    records = sweep_q0(
-        params, basis, list(TABLE1_Q0), SolveConfig(q0=TABLE1_Q0[0]),
-        keep_solutions=solutions,
-    )
-    return records, solutions, time.perf_counter() - start
+    solutions = sweep_q0(params, basis, list(TABLE1_Q0), SolveConfig(q0=TABLE1_Q0[0]))
+    return list(zip(TABLE1_Q0, solutions)), time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
 def table2(params, basis):
-    return sweep_n(params, basis, list(TABLE2_N), 100.0, SolveConfig(q0=100.0))
+    """[(n, solution), ...] of the winding sweep at q0 = 100."""
+    solutions = sweep_n(params, basis, list(TABLE2_N), 100.0, SolveConfig(q0=100.0))
+    return list(zip(TABLE2_N, solutions))

@@ -49,31 +49,31 @@ def dispersion(params, basis):
 
 
 def test_criterion_01_norm_sweep_reproduction(table1):
-    records, _, seconds = table1
+    rows, seconds = table1
     worst = []
-    for rec in records:
-        tol_w = max(0.02, 0.02 * TABLE1_OMEGA[rec.q0])
+    for q0, sol in rows:
+        tol_w = max(0.02, 0.02 * TABLE1_OMEGA[q0])
         worst.append(
-            rec.converged
-            and abs(rec.omega_sq - TABLE1_OMEGA[rec.q0]) <= tol_w
-            and abs(rec.phi_max - TABLE1_PHIMAX[rec.q0]) <= 0.02 * TABLE1_PHIMAX[rec.q0]
+            sol.converged
+            and abs(sol.omega_sq - TABLE1_OMEGA[q0]) <= tol_w
+            and abs(sol.phi_max - TABLE1_PHIMAX[q0]) <= 0.02 * TABLE1_PHIMAX[q0]
         )
     detail = (
-        f"omega_sq {[round(r.omega_sq, 4) for r in records]}, "
-        f"phi_max {[round(r.phi_max, 4) for r in records]}, {seconds:.1f}s"
+        f"omega_sq {[round(s.omega_sq, 4) for _, s in rows]}, "
+        f"phi_max {[round(s.phi_max, 4) for _, s in rows]}, {seconds:.1f}s"
     )
     check(1, "norm sweep values", all(worst) and seconds < 60.0, detail)
 
 
 def test_criterion_02_winding_sweep_reproduction(table2):
     ok = all(
-        rec.converged
-        and abs(rec.omega_sq - TABLE2_OMEGA[rec.n]) <= max(0.02, 0.02 * TABLE2_OMEGA[rec.n])
-        and abs(rec.phi_max - TABLE2_PHIMAX[rec.n]) <= 0.02 * TABLE2_PHIMAX[rec.n]
-        for rec in table2
+        sol.converged
+        and abs(sol.omega_sq - TABLE2_OMEGA[n]) <= max(0.02, 0.02 * TABLE2_OMEGA[n])
+        and abs(sol.phi_max - TABLE2_PHIMAX[n]) <= 0.02 * TABLE2_PHIMAX[n]
+        for n, sol in table2
     )
-    omegas = [rec.omega_sq for rec in table2]
-    amps = [rec.phi_max for rec in table2]
+    omegas = [sol.omega_sq for _, sol in table2]
+    amps = [sol.phi_max for _, sol in table2]
     monotone = all(a < b for a, b in zip(omegas, omegas[1:])) and all(
         a > b for a, b in zip(amps, amps[1:])
     )
@@ -82,9 +82,8 @@ def test_criterion_02_winding_sweep_reproduction(table2):
 
 
 def test_criterion_03_residual_errors(table1, table2):
-    records, _, _ = table1
-    first = records[0]
-    rest = list(records[1:]) + list(table2)
+    sols = [sol for _, sol in table1[0] + table2]
+    first, rest = sols[0], sols[1:]
     ok = first.residual_error < 5e-3 and all(r.residual_error < 0.1 for r in rest)
     check(3, "residual errors", ok,
           f"q0=10 RE {first.residual_error:.2e}, max other "
@@ -92,32 +91,29 @@ def test_criterion_03_residual_errors(table1, table2):
 
 
 def test_criterion_04_amplitude_ceiling(table1, table2):
-    records, _, _ = table1
-    rows = [r for r in list(records) + list(table2) if r.converged]
+    rows = [sol for _, sol in table1[0] + table2 if sol.converged]
     violations = [r for r in rows if not r.phi_max < AMPLITUDE_CEILING]
     check(4, "amplitude ceiling", len(rows) > 0 and not violations,
           f"max phi_max {max(r.phi_max for r in rows):.4f} < {AMPLITUDE_CEILING:.4f}")
 
 
 def test_criterion_05_frequency_window(table1, dispersion):
-    records, _, _ = table1
-    window_ok = all(0.2 < r.omega_sq < 2.2 for r in records if r.q0 >= 50.0)
+    window_ok = all(0.2 < sol.omega_sq < 2.2 for q0, sol in table1[0] if q0 >= 50.0)
     sweep_ok = all(r.omega_sq > 0.2 for r in dispersion)
     check(5, "frequency window", window_ok and sweep_ok,
           f"dispersion min omega_sq {min(r.omega_sq for r in dispersion):.4f}")
 
 
 def test_criterion_06_norm_threshold(table1, table2):
-    records, _, _ = table1
-    rows = [r for r in list(records) + list(table2) if r.converged]
-    bad = [r for r in rows
-           if r.omega_sq < 2.2 and not r.q0 > math.pi * abs(r.n) / 2.0]
+    rows = [(q0, 1, sol) for q0, sol in table1[0]] + [(100.0, n, sol) for n, sol in table2]
+    rows = [row for row in rows if row[2].converged]
+    bad = [(q0, n) for q0, n, sol in rows
+           if sol.omega_sq < 2.2 and not q0 > math.pi * abs(n) / 2.0]
     check(6, "norm threshold", not bad, f"{len(rows)} converged rows checked")
 
 
 def test_criterion_07_decay_envelope(basis, params, table1):
-    records, solutions, _ = table1
-    sol = solutions[[r.q0 for r in records].index(100.0)]
+    sol = dict(table1[0])[100.0]
     applicable, ok, worst = check_decay_envelope(
         basis, sol.coeffs, sol.omega_sq, params, p0=15.0
     )

@@ -132,6 +132,10 @@ class TestEvaluate:
             evaluate(basis, a, -0.1)
         with pytest.raises(ValueError):
             evaluate(basis, a, 20.1)
+        with pytest.raises(ValueError):
+            evaluate(basis, a, np.array([1.0, np.nan]))
+        with pytest.raises(ValueError):
+            evaluate_derivatives(basis, a, np.nan)
 
     def test_wrong_length_rejected(self, basis):
         with pytest.raises(ValueError):

@@ -217,6 +217,25 @@ class TestConfigResolution:
         assert setting.split("=")[0] in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--q0", "nan"],
+            ["dispersion", "--q0-min", "0"],
+            ["dispersion", "--q0-min", "-5"],
+            ["dispersion", "--q0-max", "inf"],
+            ["oracle-compare", "--q0", "-1"],
+            ["oracle-compare", "--n-fd", "10"],
+            ["verify", "--decay-p0", "30"],
+        ],
+    )
+    def test_invalid_flag_is_a_config_error(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [config]: ")
+        assert argv[1] in err
+        assert not any(tmp_path.iterdir())
+
 
 def test_import_leaves_scipy_unloaded():
     # only the finite-difference oracle needs scipy, and it imports it itself

@@ -31,9 +31,7 @@ class TestParamsProtocol:
     def test_cli_and_estimator_share_keys_and_defaults(self):
         est_defaults = QVortexSolver().get_params()
         assert list(inspect.signature(QVortexSolver).parameters) == list(est_defaults)
-        assert set(CONFIG_DEFAULTS) == set(est_defaults) - {"q0", "initial_guess"} | {
-            "output_dir"
-        }
+        assert set(CONFIG_DEFAULTS) == set(est_defaults) - {"q0"} | {"output_dir"}
         model, solve = ModelParams(), SolveConfig(q0=1.0)
         for name, default in est_defaults.items():
             if name in CONFIG_DEFAULTS:
@@ -76,11 +74,6 @@ class TestFitPredict:
         est = QVortexSolver(b=0.9)  # stored verbatim, rejected on fit
         with pytest.raises(ValueError, match="a_pot"):
             est.fit()
-
-    def test_custom_initial_guess_rejected(self):
-        # SolveConfig needs custom_coeffs for "custom"; the estimator has none
-        with pytest.raises(ValueError, match=r"custom.*\('ring_bump', 'trapezoid'\)"):
-            QVortexSolver(initial_guess="custom").fit()
 
     def test_repr_round_trips_parameters(self):
         est = QVortexSolver(q0=5.0)

@@ -23,6 +23,7 @@ from qvortex import (
 from qvortex.solver import (
     _nonlinear_energy,
     _nonlinear_gradient,
+    _project_to_basis,
     _SphereProblem,
     gradient_fd_check,
     residual_error_split,
@@ -60,10 +61,6 @@ class TestSolveConfig:
             SolveConfig(q0=10.0, max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(q0=10.0, restarts=-1)
-        with pytest.raises(ValueError):
-            SolveConfig(q0=10.0, initial_guess="parabola")
-        with pytest.raises(ValueError):
-            SolveConfig(q0=10.0, initial_guess="custom")
 
 
 class TestDiscreteFunctional:
@@ -212,8 +209,12 @@ class TestMinimize:
         assert phi.min() >= -1e-8 * sol.phi_max
 
     def test_trapezoid_start_reaches_same_minimum(self, basis, params, solve):
+        # a flat-top trial profile instead of the default ring bump
+        rho = basis.grid.nodes
+        trapezoid = np.minimum(np.minimum(rho, 1.0), basis.p - rho)
+        start = tuple(_project_to_basis(basis, trapezoid))
         sol = minimize_on_sphere(
-            basis, params, SolveConfig(q0=100.0, initial_guess="trapezoid", restarts=0)
+            basis, params, SolveConfig(q0=100.0, start_coeffs=start, restarts=0)
         )
         assert sol.converged
         assert sol.omega_sq == pytest.approx(solve(100.0).omega_sq, abs=1e-6)
@@ -223,7 +224,7 @@ class TestMinimize:
         sol = minimize_on_sphere(
             basis,
             params,
-            SolveConfig(q0=100.0, initial_guess="custom", custom_coeffs=start, restarts=0),
+            SolveConfig(q0=100.0, start_coeffs=start, restarts=0),
         )
         assert sol.converged and sol.iterations <= 5
 
@@ -355,9 +356,9 @@ class TestSolveCost:
         # the reduced Hessian has a small negative eigenvalue, so its first
         # steps are eigen-modified
         q0_list = list(np.geomspace(10.0, 1000.0, 25)[:3])
-        records = sweep_q0(params, basis, q0_list, SolveConfig(q0=q0_list[0]))
-        assert all(r.converged for r in records)
-        assert records[2].iterations <= 30
+        solutions = sweep_q0(params, basis, q0_list, SolveConfig(q0=q0_list[0]))
+        assert all(sol.converged for sol in solutions)
+        assert solutions[2].iterations <= 30
 
     def test_norm_winding_grid_converges_well_inside_max_iter(self, basis, params):
         total = 0

@@ -4,13 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qvortex import (
-    SolveConfig,
-    dense_profile,
-    locate_omega_crossing,
-    minimize_on_sphere,
-    sweep_q0,
-)
+from qvortex import SolveConfig, dense_profile, minimize_on_sphere, sweep_q0
 
 
 class TestSweepQ0:
@@ -21,40 +15,38 @@ class TestSweepQ0:
             sweep_q0(params, basis, [10.0, -5.0], SolveConfig(q0=10.0))
 
     def test_monotone_frequency_and_bounded_amplitude(self, table1):
-        records, _, _ = table1
-        omegas = [rec.omega_sq for rec in records]
+        sols = [sol for _, sol in table1[0]]
+        omegas = [sol.omega_sq for sol in sols]
         assert all(a > b for a, b in zip(omegas, omegas[1:]))
-        assert all(rec.phi_max < 1.1547005383792515 for rec in records)
+        assert all(sol.phi_max < 1.1547005383792515 for sol in sols)
 
-    def test_warm_and_cold_agree(self, params, basis, table1):
-        records, _, _ = table1
-        cold = sweep_q0(
-            params, basis, [10.0, 50.0, 100.0], SolveConfig(q0=10.0), warm_start=False
-        )
-        for warm_rec, cold_rec in zip(records, cold):
-            assert warm_rec.omega_sq == pytest.approx(cold_rec.omega_sq, abs=1e-4)
+    def test_warm_and_cold_agree(self, table1, solve):
+        # warm rows start from the previous row's minimizer, solve() from the ring bump
+        for q0, warm in table1[0][:3]:
+            assert warm.omega_sq == pytest.approx(solve(q0).omega_sq, abs=1e-4)
 
     def test_row_failures_recorded_and_sweep_continues(self, params, basis):
-        records = sweep_q0(
+        solutions = sweep_q0(
             params,
             basis,
             [50.0, 100.0],
             SolveConfig(q0=50.0, max_iter=2, restarts=0, grad_tol=1e-14),
         )
-        assert len(records) == 2
-        assert not any(rec.converged for rec in records)
+        assert len(solutions) == 2
+        assert not any(sol.converged for sol in solutions)
 
     def test_norm_threshold_satisfied_rowwise(self, params, table1, table2):
-        records, _, _ = table1
-        for rec in list(records) + list(table2):
-            if rec.converged and rec.omega_sq < 2.0 * params.lam * params.b:
-                assert rec.q0 > math.pi * abs(rec.n) / (params.a_pot * params.lam)
+        rows = [(q0, params.n, sol) for q0, sol in table1[0]]
+        rows += [(100.0, n, sol) for n, sol in table2]
+        for q0, n, sol in rows:
+            if sol.converged and sol.omega_sq < 2.0 * params.lam * params.b:
+                assert q0 > math.pi * abs(n) / (params.a_pot * params.lam)
 
 
 class TestSweepN:
     def test_trends_in_winding_number(self, table2):
-        omegas = [rec.omega_sq for rec in table2]
-        amps = [rec.phi_max for rec in table2]
+        omegas = [sol.omega_sq for _, sol in table2]
+        amps = [sol.phi_max for _, sol in table2]
         assert all(a < b for a, b in zip(omegas, omegas[1:]))
         assert all(a > b for a, b in zip(amps, amps[1:]))
 
@@ -68,28 +60,8 @@ class TestSweepN:
             peaks.append(rho[int(np.argmax(np.abs(phi)))])
         assert peaks[0] < peaks[1] < peaks[2]
 
-    def test_records_carry_the_requested_winding(self, table2):
-        assert [rec.n for rec in table2] == [1, 2, 3, 4, 5]
-        assert all(rec.q0 == 100.0 for rec in table2)
-
-
-class TestLocateOmegaCrossing:
-    def test_upper_edge_crossing(self, params, basis):
-        q_cross = locate_omega_crossing(params, basis, 2.2, SolveConfig(q0=10.0))
-        assert q_cross > 0.0
-        assert q_cross > math.pi / 2.0
-        check = minimize_on_sphere(basis, params, SolveConfig(q0=q_cross))
-        assert abs(check.omega_sq - 2.2) < 1e-3
-
-    def test_fixed_point_at_benchmark_norm(self, params, basis, solve):
-        target = solve(100.0).omega_sq
-        q_cross = locate_omega_crossing(params, basis, target, SolveConfig(q0=10.0))
-        assert q_cross == pytest.approx(100.0, rel=0.05)
-
-    def test_target_below_window_rejected(self, params, basis):
-        with pytest.raises(ValueError, match="window"):
-            locate_omega_crossing(params, basis, 0.15, SolveConfig(q0=10.0))
-
-    def test_target_above_linear_limit_rejected(self, params, basis):
-        with pytest.raises(ValueError, match="linear-limit"):
-            locate_omega_crossing(params, basis, 2.3, SolveConfig(q0=10.0))
+    def test_records_carry_the_requested_winding(self, table2, solve):
+        # row i is the cold solve at the i-th winding number of the input
+        for n, sol in table2:
+            assert float(sol.coeffs @ sol.coeffs) == pytest.approx(100.0, rel=1e-10)
+            assert sol.omega_sq == solve(100.0, n).omega_sq
