@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +37,11 @@ from . import __version__
 from .basis import build_basis, evaluate, evaluate_derivatives
 from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
 from .estimator import PIPELINE_DEFAULTS, split_config
-from .model import (
-    BENCHMARK_Q0,
-    satisfies_amplitude_ceiling,
-    satisfies_necessary_condition,
-    satisfies_norm_threshold,
-    theory_bounds,
-)
-from .quadrature import build_grid
+from .model import BENCHMARK_Q0, theory_bounds
+from .quadrature import ORDER_PER_PANEL_MIN, build_grid
 from .solver import (
     SolveConfig,
-    check_decay_envelope,
+    check_solution,
     dense_profile,
     gradient_fd_check,
     minimize_on_sphere,
@@ -113,6 +107,9 @@ def resolve_config(args):
         values["output_dir"] = str(args.out)
     params, solve = split_config(values)
     config = SolveConfig(q0=1.0, **solve)
+    check_positive_int("basis_size", values["basis_size"])
+    check_positive_int("quad_panels", values["quad_panels"])
+    check_positive_int("quad_order", values["quad_order"], minimum=ORDER_PER_PANEL_MIN)
     _check_flags(args, params)
     return values, params, config
 
@@ -214,38 +211,13 @@ def cmd_solve(cfg, params, solve, q0):
         },
     )
 
-    bounds = theory_bounds(params)
-    nec = satisfies_necessary_condition(sol.omega_sq, params)
-    ceil_ok, ceil_app = satisfies_amplitude_ceiling(sol.phi_max, sol.omega_sq, params)
-    thr_ok, thr_app = satisfies_norm_threshold(q0, sol.omega_sq, params)
-    dec_app, dec_ok, dec_worst = check_decay_envelope(
-        basis, sol.coeffs, sol.omega_sq, params
-    )
     _write_json(
         out / "bounds.json",
         {
             "artifact_version": __version__,
             "config": _config_echo(cfg, extra),
-            "bounds": {
-                "omega_sq_min": bounds.omega_sq_min,
-                "omega_sq_max": bounds.omega_sq_max,
-                "omega_sq_necessary": bounds.omega_sq_necessary,
-                "phi_max_ceiling": bounds.phi_max_ceiling,
-                "q0_threshold": bounds.q0_threshold,
-                "p_star": bounds.p_star,
-                "p_star_omega_sq": bounds.p_star_omega_sq,
-            },
-            "checks": {
-                "necessary_condition": {"pass": bool(nec)},
-                "amplitude_ceiling": {"applicable": bool(ceil_app), "pass": bool(ceil_ok)},
-                "norm_threshold": {"applicable": bool(thr_app), "pass": bool(thr_ok)},
-                "decay_envelope": {
-                    "applicable": bool(dec_app),
-                    "pass": bool(dec_ok),
-                    "worst_excess": dec_worst,
-                    "p0": 0.75 * params.p,
-                },
-            },
+            "bounds": asdict(theory_bounds(params)),
+            "checks": check_solution(basis, sol, q0, params),
         },
     )
     if not sol.converged:
@@ -295,7 +267,7 @@ def cmd_table2(cfg, params, solve):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     solutions = _stage("solve")(sweep_n)(
-        params, basis, list(TABLE2_N), BENCHMARK_Q0, replace(solve, q0=BENCHMARK_Q0)
+        params, basis, list(TABLE2_N), replace(solve, q0=BENCHMARK_Q0)
     )
     _records_csv(cfg, out / "table2.csv", "n", TABLE2_N, solutions, {"q0": BENCHMARK_Q0})
     bad = _unconverged(TABLE2_N, solutions)
@@ -365,21 +337,19 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
 
     sol = minimize_on_sphere(basis, params, replace(solve, q0=BENCHMARK_Q0))
     bounds = theory_bounds(params)
-    nec = satisfies_necessary_condition(sol.omega_sq, params)
-    ceil_ok, _ = satisfies_amplitude_ceiling(sol.phi_max, sol.omega_sq, params)
-    thr_ok, _ = satisfies_norm_threshold(BENCHMARK_Q0, sol.omega_sq, params)
+    checks = check_solution(basis, sol, BENCHMARK_Q0, params, decay_p0)
+    decay = checks.pop("decay_envelope")
     window_ok = bounds.omega_sq_min < sol.omega_sq < bounds.omega_sq_max
     report(
         "bounds",
-        sol.converged and nec and ceil_ok and thr_ok and window_ok,
+        sol.converged and window_ok and all(check["pass"] for check in checks.values()),
         f"omega_sq {sol.omega_sq:.4f}, phi_max {sol.phi_max:.4f}, converged {sol.converged}",
     )
-
-    p0 = 0.75 * params.p if decay_p0 is None else float(decay_p0)
-    dec_app, dec_ok, dec_worst = check_decay_envelope(
-        basis, sol.coeffs, sol.omega_sq, params, p0=p0
+    report(
+        "decay",
+        decay["applicable"] and decay["pass"],
+        f"p0 {decay['p0']}, worst excess {decay['worst_excess']:.3e}",
     )
-    report("decay", dec_app and dec_ok, f"p0 {p0}, worst excess {dec_worst:.3e}")
 
     lin = minimize_on_sphere(basis, params, replace(solve, q0=0.01))
     target = 2.0 * params.lam * params.b + (bessel_first_zero(abs(params.n)) / params.p) ** 2

@@ -12,13 +12,16 @@ collected in TheoryBounds:
 * the open frequency window 2*lam*(b - a_pot^2/4) < omega^2 < 2*lam*b in
   which ring solitons exist on a large enough disk,
 * a sharper necessary lower bound 2*lam*(b - a_pot^2/3) + n^2/p^2 < omega^2,
-* the uniform amplitude ceiling phi^2 < 2*a_pot/3,
+* the uniform amplitude ceiling phi^2 < 2*a_pot/3 and the exponential tail
+  decay at rate decay_rate, both valid below the decay edge
+  omega^2 < 2*lam*b + n^2/p^2 (decay_edge),
 * the prescribed-norm threshold Q0 > pi*|n|/(a_pot*lam) required whenever
   omega^2 < 2*lam*b,
 * a sufficient disk radius p_star derived from a trapezoidal trial profile
   (see p_star_bound).
 
-These are used by the solver as runtime verifiers, never as fitting knobs.
+Each is written once, here, and solver.check_solution judges a solution
+against all of them. They are verifiers, never fitting knobs.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ __all__ = [
     "potential",
     "potential_derivative",
     "theory_bounds",
+    "decay_edge",
     "decay_rate",
+    "default_decay_p0",
     "p_star_bound",
-    "satisfies_necessary_condition",
-    "satisfies_amplitude_ceiling",
-    "satisfies_norm_threshold",
 ]
 
 # The prescribed reduced norm of the benchmark point: the default of the
@@ -118,21 +120,31 @@ def potential_derivative(phi, params):
     return params.lam * phi * (6.0 * p2 * p2 - 4.0 * params.a_pot * p2 + 2.0 * params.b)
 
 
+def decay_edge(params):
+    """2*lam*b + n^2/p^2: below it the tail decays exponentially and the
+    amplitude ceiling holds; at or above it neither estimate applies."""
+    return 2.0 * params.lam * params.b + params.n**2 / params.p**2
+
+
+def default_decay_p0(params):
+    """Inner radius of the decay-envelope check unless one is given: 0.75*p."""
+    return 0.75 * params.p
+
+
 def decay_rate(omega_sq, params):
     """Exponential tail rate sigma = sqrt(n^2/p^2 + 2*lam*b - omega^2).
 
-    Valid only below the shifted window edge; raises ValueError when the
-    radicand is non-positive (the decay estimate is then inapplicable).
+    Valid only below decay_edge; raises ValueError when the radicand is
+    non-positive (the decay estimate is then inapplicable).
     """
     omega_sq = check_finite("omega_sq", omega_sq)
-    radicand = params.n**2 / params.p**2 + 2.0 * params.lam * params.b - omega_sq
-    if radicand <= 0.0:
+    edge = decay_edge(params)
+    if omega_sq >= edge:
         raise ValueError(
-            "decay rate undefined: omega_sq = "
-            f"{omega_sq} is not below 2*lam*b + n^2/p^2 = "
-            f"{2.0 * params.lam * params.b + params.n ** 2 / params.p ** 2}"
+            f"decay rate undefined: omega_sq = {omega_sq} is not below "
+            f"2*lam*b + n^2/p^2 = {edge}"
         )
-    return math.sqrt(radicand)
+    return math.sqrt(edge - omega_sq)
 
 
 def p_star_bound(params, omega_sq):
@@ -190,30 +202,3 @@ def theory_bounds(params, omega_sq=None):
         p_star_omega_sq=float(omega_sq),
     )
 
-
-def satisfies_necessary_condition(omega_sq, params):
-    """True iff omega_sq exceeds the necessary existence bound."""
-    return omega_sq > 2.0 * params.lam * (params.b - params.a_pot**2 / 3.0) + params.n**2 / params.p**2
-
-
-def satisfies_amplitude_ceiling(phi_max, omega_sq, params):
-    """Amplitude ceiling check; (True, applicable) pair.
-
-    The ceiling phi_max < sqrt(2*a_pot/3) is guaranteed only when
-    omega_sq < 2*lam*b + n^2/p^2; outside that range the check is reported
-    as inapplicable rather than failed.
-    """
-    applicable = omega_sq < 2.0 * params.lam * params.b + params.n**2 / params.p**2
-    ok = (not applicable) or (phi_max < math.sqrt(2.0 * params.a_pot / 3.0))
-    return ok, applicable
-
-
-def satisfies_norm_threshold(q0, omega_sq, params):
-    """Norm threshold check; (True, applicable) pair.
-
-    Whenever omega_sq < 2*lam*b, a nontrivial solution requires
-    q0 > pi*|n|/(a_pot*lam).
-    """
-    applicable = omega_sq < 2.0 * params.lam * params.b
-    ok = (not applicable) or (q0 > math.pi * abs(params.n) / (params.a_pot * params.lam))
-    return ok, applicable

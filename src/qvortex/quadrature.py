@@ -17,6 +17,8 @@ from .validation import check_positive, check_positive_int, readonly
 
 __all__ = ["QuadratureGrid", "build_grid"]
 
+ORDER_PER_PANEL_MIN = 2  # fewest Gauss points per panel build_grid accepts
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -32,12 +34,12 @@ class QuadratureGrid:
 def build_grid(p, panels=48, order_per_panel=8):
     """Composite Gauss-Legendre grid over `panels` uniform panels of [0, p].
 
-    order_per_panel >= 2 Gauss points per panel integrate polynomials of
-    degree <= 2*order_per_panel - 1 exactly on each panel.
+    order_per_panel >= ORDER_PER_PANEL_MIN Gauss points per panel integrate
+    polynomials of degree <= 2*order_per_panel - 1 exactly on each panel.
     """
     p = check_positive("p", p)
     panels = check_positive_int("panels", panels)
-    order = check_positive_int("order_per_panel", order_per_panel, minimum=2)
+    order = check_positive_int("order_per_panel", order_per_panel, minimum=ORDER_PER_PANEL_MIN)
 
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
     width = p / panels

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import evaluate
-from .model import decay_rate, potential_derivative
+from .model import decay_edge, decay_rate, default_decay_p0, potential_derivative, theory_bounds
 from .validation import check_coeffs, check_positive, readonly
 
 __all__ = [
@@ -66,6 +66,7 @@ __all__ = [
     "residual_error_split",
     "dense_profile",
     "check_decay_envelope",
+    "check_solution",
     "gradient_fd_check",
 ]
 
@@ -195,33 +196,60 @@ def residual_error_split(coeffs, omega_sq, basis, params):
     return total, first
 
 
-def dense_profile(basis, coeffs, points=PROFILE_POINTS):
+def dense_profile(basis, coeffs):
     """Uniform output grid on [0, p] and the profile sampled on it."""
-    rho = np.linspace(0.0, basis.p, points)
+    rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
     return rho, evaluate(basis, coeffs, rho)
 
 
-def check_decay_envelope(basis, coeffs, omega_sq, params, p0=None, points=PROFILE_POINTS):
+def check_decay_envelope(basis, coeffs, omega_sq, params, p0=None):
     """Exponential tail check phi^2 <= (2*a_pot/3)*exp(-sigma*(rho - p0)).
 
     Returns (applicable, ok, worst_excess): applicable is False when
-    omega_sq sits above 2*lam*b + n^2/p^2, where no decay rate exists;
+    omega_sq is not below decay_edge, where no decay rate exists;
     worst_excess is max(phi^2 - bound) over output-grid points in [p0, p].
+    p0 defaults to default_decay_p0.
     """
     if p0 is None:
-        p0 = 0.75 * params.p
+        p0 = default_decay_p0(params)
     if not 0.0 < p0 < params.p:
         raise ValueError(f"p0 must lie in (0, {params.p}), got {p0}")
-    edge = 2.0 * params.lam * params.b + params.n**2 / params.p**2
-    if omega_sq >= edge:
+    if omega_sq >= decay_edge(params):
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
-    rho = np.linspace(0.0, basis.p, points)
+    rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
     rho = rho[rho >= p0]
     bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho - p0))
     excess = evaluate(basis, coeffs, rho) ** 2 - bound
     worst = float(np.max(excess))
     return True, worst <= 0.0, worst
+
+
+def check_solution(basis, solution, q0, params, p0=None):
+    """Verdicts of the model's bounds on a solution at norm q0, by name.
+
+    The shape is that of the `checks` object of bounds.json. A conditional
+    check that does not apply passes: the amplitude ceiling applies where
+    the decay envelope does, below decay_edge, and the norm threshold below
+    omega_sq_max.
+    """
+    bounds = theory_bounds(params)
+    omega_sq = solution.omega_sq
+    p0 = default_decay_p0(params) if p0 is None else p0
+    applicable, ok, worst = check_decay_envelope(basis, solution.coeffs, omega_sq, params, p0)
+    below_max = omega_sq < bounds.omega_sq_max
+    return {
+        "necessary_condition": {"pass": omega_sq > bounds.omega_sq_necessary},
+        "amplitude_ceiling": {
+            "applicable": applicable,
+            "pass": not applicable or solution.phi_max < bounds.phi_max_ceiling,
+        },
+        "norm_threshold": {
+            "applicable": below_max,
+            "pass": not below_max or q0 > bounds.q0_threshold,
+        },
+        "decay_envelope": {"applicable": applicable, "pass": ok, "worst_excess": worst, "p0": p0},
+    }
 
 
 def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
@@ -396,13 +424,12 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
     f_led = problem.value(x, phi_x)
     g = problem.gradient(x, phi_x)
     iterations = 0
-    converged = False
-    while iterations < max_iter:
+    while True:
         unit = x / radius
         gt = g - np.dot(g, unit) * unit
         gt_norm = float(np.linalg.norm(gt))
-        if gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(g))):
-            converged = True
+        converged = gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(g)))
+        if converged or iterations >= max_iter:
             break
         theta = float(np.dot(x, g)) / q0
         d = problem.newton_direction(x, phi_x, gt, theta)
@@ -427,11 +454,6 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
         iterations += 1
         if callback is not None:
             callback(iterations, x.copy(), f_led, gt_norm)
-    if not converged:
-        unit = x / radius
-        gt = g - np.dot(g, unit) * unit
-        gt_norm = float(np.linalg.norm(gt))
-        converged = gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(g)))
     return x, f_led, gt_norm, iterations, converged
 
 

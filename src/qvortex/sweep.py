@@ -44,13 +44,12 @@ def sweep_q0(params, basis, q0_list, config):
     return solutions
 
 
-def sweep_n(params, basis, n_list, q0, config):
-    """Solve at fixed q0 for each winding number in n_list.
+def sweep_n(params, basis, n_list, config):
+    """Solve at config.q0 for each winding number in n_list.
 
     One SpectralBasis serves every row: K and C carry no n dependence, the
     n^2 multiplier is applied when the functional is assembled.
     """
-    config = replace(config, q0=check_positive("q0", q0))
     return [
         minimize_on_sphere(basis, replace(params, n=int(n)), config) for n in n_list
     ]

@@ -65,5 +65,5 @@ def table1(params, basis):
 @pytest.fixture(scope="session")
 def table2(params, basis):
     """[(n, solution), ...] of the winding sweep at q0 = 100."""
-    solutions = sweep_n(params, basis, list(TABLE2_N), 100.0, SolveConfig(q0=100.0))
+    solutions = sweep_n(params, basis, list(TABLE2_N), SolveConfig(q0=100.0))
     return list(zip(TABLE2_N, solutions))

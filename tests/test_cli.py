@@ -208,7 +208,16 @@ class TestConfigResolution:
         assert "key=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "setting", ["n=0", "max_iter=0", "restarts=-1", "grad_tol=0"]
+        "setting",
+        [
+            "n=0",
+            "max_iter=0",
+            "restarts=-1",
+            "grad_tol=0",
+            "quad_order=0",
+            "quad_panels=0",
+            "basis_size=0",
+        ],
     )
     def test_invalid_value_is_a_config_error(self, tmp_path, capsys, setting):
         assert run("solve", "--set", setting, "--out", str(tmp_path)) == 2

@@ -13,11 +13,6 @@ from qvortex import (
     potential_derivative,
     theory_bounds,
 )
-from qvortex.model import (
-    satisfies_amplitude_ceiling,
-    satisfies_necessary_condition,
-    satisfies_norm_threshold,
-)
 
 PARAMS = ModelParams()  # lam=1, a_pot=2, b=1.1, n=1, p=20
 
@@ -162,24 +157,3 @@ class TestDecayRate:
         )
         assert decay_rate(0.5351, n2) == pytest.approx(1.2942, abs=1e-4)
 
-
-class TestBoundChecks:
-    def test_necessary_condition(self):
-        assert satisfies_necessary_condition(0.4, PARAMS)
-        assert not satisfies_necessary_condition(-0.5, PARAMS)
-
-    def test_amplitude_ceiling_applicability(self):
-        ok, applicable = satisfies_amplitude_ceiling(1.0, 0.4, PARAMS)
-        assert ok and applicable
-        ok, applicable = satisfies_amplitude_ceiling(1.2, 0.4, PARAMS)
-        assert not ok and applicable
-        ok, applicable = satisfies_amplitude_ceiling(1.2, 3.0, PARAMS)
-        assert ok and not applicable
-
-    def test_norm_threshold(self):
-        ok, applicable = satisfies_norm_threshold(100.0, 0.4, PARAMS)
-        assert ok and applicable
-        ok, applicable = satisfies_norm_threshold(1.0, 0.4, PARAMS)
-        assert not ok and applicable
-        ok, applicable = satisfies_norm_threshold(1.0, 2.3, PARAMS)
-        assert ok and not applicable

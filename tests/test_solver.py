@@ -20,11 +20,13 @@ from qvortex import (
     residual_error,
     sweep_q0,
 )
+from qvortex.model import decay_edge
 from qvortex.solver import (
     _nonlinear_energy,
     _nonlinear_gradient,
     _project_to_basis,
     _SphereProblem,
+    check_solution,
     gradient_fd_check,
     residual_error_split,
 )
@@ -412,6 +414,42 @@ class TestModelBoundsOnSolutions:
             basis, sol.coeffs, sol.omega_sq, ModelParams(n=2)
         )
         assert applicable and ok, f"worst excess {worst}"
+
+
+EDGE = decay_edge(ModelParams())
+
+
+class TestCheckSolution:
+    # (omega_sq, phi_max or None for the solution's own, q0) and the expected
+    # necessary pass, (pass, applicable) of the ceiling and of the threshold
+    @pytest.mark.parametrize(
+        "omega_sq, phi_max, q0, necessary, ceiling, threshold",
+        [
+            (0.4, None, 100.0, True, (True, True), (True, True)),
+            (-0.5, None, 100.0, False, (True, True), (True, True)),
+            (0.4, 1.0, 100.0, True, (True, True), (True, True)),
+            (0.4, 1.2, 100.0, True, (False, True), (True, True)),
+            (3.0, 1.2, 100.0, True, (True, False), (True, False)),
+            (0.4, None, 1.0, True, (True, True), (False, True)),
+            (2.3, None, 1.0, True, (True, False), (True, False)),
+            # either side of the decay edge 2*lam*b + n^2/p^2
+            (math.nextafter(EDGE, 0.0), 1.2, 100.0, True, (False, True), (True, False)),
+            (EDGE, 1.2, 100.0, True, (True, False), (True, False)),
+        ],
+    )
+    def test_verdicts(
+        self, basis, params, solve, omega_sq, phi_max, q0, necessary, ceiling, threshold
+    ):
+        sol = solve(100.0)
+        sol = replace(sol, omega_sq=omega_sq, phi_max=phi_max or sol.phi_max)
+        checks = check_solution(basis, sol, q0, params)
+        verdict = {name: (c["pass"], c.get("applicable")) for name, c in checks.items()}
+        assert verdict["necessary_condition"] == (necessary, None)
+        assert verdict["amplitude_ceiling"] == ceiling
+        assert verdict["norm_threshold"] == threshold
+        # the ceiling and the decay envelope apply on the same side of the edge
+        assert verdict["decay_envelope"][1] == ceiling[1]
+        assert checks["decay_envelope"]["p0"] == 0.75 * params.p
 
 
 class TestOmegaRecovery:
