@@ -405,7 +405,9 @@ def _build_parser():
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     common.add_argument("--out", help="output directory (config key output_dir)")
-    common.add_argument("--seed", type=int, help="rng seed (config key rng_seed)")
+    common.add_argument("--seed", type=int,
+                        help="rng seed >= 0 for verify's gradient-check points and for "
+                             "restarts > 0 (config key rng_seed)")
     common.add_argument("--m", type=int, help="basis size (config key basis_size)")
     common.add_argument("--n", type=int, help="winding number (config key n)")
 

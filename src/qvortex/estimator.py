@@ -71,7 +71,8 @@ class QVortexSolver:
     basis_size, quad_panels, quad_order :
         number of orthonormalized sine modes and the composite Gauss rule
     grad_tol, max_iter, restarts, rng_seed :
-        forwarded to SolveConfig, with its defaults
+        forwarded to SolveConfig, with its defaults; restarts=0 runs one
+        descent, so rng_seed matters only when restarts > 0
     q0 : prescribed reduced norm (default BENCHMARK_Q0 = 100.0)
 
     The solve starts from SolveConfig's default start, the ring bump.

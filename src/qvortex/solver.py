@@ -54,7 +54,7 @@ import numpy as np
 
 from .basis import evaluate
 from .model import decay_edge, decay_rate, default_decay_p0, potential_derivative, theory_bounds
-from .validation import check_coeffs, check_positive, readonly
+from .validation import check_coeffs, check_positive, check_positive_int, readonly
 
 __all__ = [
     "SolveConfig",
@@ -87,15 +87,17 @@ class SolveConfig:
     start_coeffs : starting coefficient vector, rescaled onto the sphere;
                    None (default) starts from the ring bump
                    rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2)
-    restarts     : extra perturbed runs (1% relative noise), lowest F kept
-    rng_seed     : seed for the restart perturbations (determinism)
+    restarts     : extra descent runs, each from the kept minimizer
+                   perturbed by 1% relative noise, lowest F kept;
+                   0 (default) runs one descent from the start
+    rng_seed     : seed for those perturbations, >= 0
     """
 
     q0: float
     grad_tol: float = 1e-8
     max_iter: int = 20000
     start_coeffs: tuple | None = None
-    restarts: int = 2
+    restarts: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -105,6 +107,9 @@ class SolveConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        object.__setattr__(
+            self, "rng_seed", check_positive_int("rng_seed", self.rng_seed, minimum=0)
+        )
         if self.start_coeffs is not None:
             object.__setattr__(
                 self, "start_coeffs", tuple(float(v) for v in self.start_coeffs)
@@ -375,6 +380,22 @@ class _SphereProblem:
         nl = self.lam * ((dphi * (s5 - self.a_pot * s3)) @ self.w_rho)
         return quad + nl, phi_c
 
+    def reduced_hessian(self, x, phi_x, theta):
+        """(H - theta*I, mu*x.x^T) at x, for the exact Hessian H of F.
+
+        On the tangent space their sum equals the reduced Hessian, so the
+        sum passes Cholesky only where the reduced Hessian is positive
+        definite: at a stationary point on the sphere, a pass certifies a
+        strict local minimum (Morse index 0). mu, the largest absolute row
+        sum of H - theta*I over |x|^2, lifts the sum along x.
+        """
+        ph2 = phi_x * phi_x
+        curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
+        shifted = self.mat + (self.psi * curv) @ self.psi.T
+        shifted.flat[:: len(x) + 1] -= theta
+        mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / float(np.dot(x, x))
+        return shifted, mu * np.outer(x, x)
+
     def newton_direction(self, x, phi_x, gt, theta):
         """Tangent Newton step d; the iterate moves to x - d.
 
@@ -395,13 +416,8 @@ class _SphereProblem:
         eigenvalues replaced by their absolute values (floored at 1e-8 of
         the largest), so every negative-curvature direction is descended.
         """
-        ph2 = phi_x * phi_x
-        curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
-        shifted = self.mat + (self.psi * curv) @ self.psi.T
-        shifted.flat[:: len(x) + 1] -= theta
+        shifted, border = self.reduced_hessian(x, phi_x, theta)
         norm_sq = float(np.dot(x, x))
-        mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / norm_sq
-        border = mu * np.outer(x, x)
         block = shifted + border
         try:
             np.linalg.cholesky(block)
@@ -428,6 +444,8 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
         unit = x / radius
         gt = g - np.dot(g, unit) * unit
         gt_norm = float(np.linalg.norm(gt))
+        if iterations and callback is not None:  # every later pass follows a step
+            callback(iterations, x.copy(), f_led, gt_norm)
         converged = gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(g)))
         if converged or iterations >= max_iter:
             break
@@ -452,8 +470,6 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
         f_led += df
         g = problem.gradient(x, phi_x)
         iterations += 1
-        if callback is not None:
-            callback(iterations, x.copy(), f_led, gt_norm)
     return x, f_led, gt_norm, iterations, converged
 
 
@@ -471,10 +487,11 @@ def _lower(problem, cand, x, q0):
 def minimize_on_sphere(basis, params, config, callback=None):
     """Minimize F on the sphere |a|^2 = q0 and assemble the solution record.
 
-    Runs from the configured start plus `restarts` perturbed reruns
-    (1% relative noise seeded by rng_seed) and keeps the lowest final F.
-    The callback, when given, receives (iteration, coeffs, f, tangent_grad_norm)
-    after every accepted step of every run.
+    Runs one descent from the configured start, then `restarts` reruns
+    (none by default) from the kept minimizer perturbed by 1% relative
+    noise seeded by rng_seed, and keeps the lowest final F. The callback,
+    when given, receives (iteration, coeffs, f, tangent_grad_norm) after
+    every accepted step of every run, all taken at the new iterate.
     """
     if basis.p != params.p:
         raise ValueError(f"basis built for p={basis.p}, params have p={params.p}")

@@ -156,7 +156,7 @@ def test_criterion_10_numerical_hygiene(basis, params, grid, solve):
     ortho = basis.orthonormality_residual
     drifts = []
     minimize_on_sphere(
-        basis, params, SolveConfig(q0=100.0, restarts=0),
+        basis, params, SolveConfig(q0=100.0),
         callback=lambda _i, a, _f, _g: drifts.append(abs(float(a @ a) - 100.0) / 100.0),
     )
     big = build_basis(params, 120, grid)

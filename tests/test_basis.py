@@ -154,7 +154,7 @@ class TestEvaluate:
         # profile and a random expansion, including radii next to the endpoints;
         # the error is relative to sum_k |c_k| * (k*pi/p)**j for derivative j
         built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
-        converged = minimize_on_sphere(built, params, SolveConfig(q0=100.0, restarts=0))
+        converged = minimize_on_sphere(built, params, SolveConfig(q0=100.0))
         rho = np.concatenate(([0.0, 1e-9, 20.0 - 1e-9, 20.0], np.linspace(0.0, 20.0, 2001)))
         freq = np.arange(1, m + 1) * (math.pi / 20.0)
         sin_tab = np.sin(rho[:, None] * freq)

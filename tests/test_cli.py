@@ -50,7 +50,7 @@ class TestSolveCommand:
     def test_nonconvergence_gives_nonzero_exit(self, tmp_path, capsys):
         rc = run(
             "solve", "--q0", "100", "--out", str(tmp_path),
-            "--set", "max_iter=2", "--set", "restarts=0", "--set", "grad_tol=1e-14",
+            "--set", "max_iter=2", "--set", "grad_tol=1e-14",
         )
         assert rc == 1
         assert "converge" in capsys.readouterr().err
@@ -85,6 +85,7 @@ class TestTable1Command:
         assert "# artifact_version=" in text
         assert "# basis_size=60" in text
         assert "# rng_seed=0" in text
+        assert "# restarts=0" in text
 
 
 class TestTable2Command:
@@ -213,6 +214,7 @@ class TestConfigResolution:
             "n=0",
             "max_iter=0",
             "restarts=-1",
+            "rng_seed=-1",
             "grad_tol=0",
             "quad_order=0",
             "quad_panels=0",
@@ -244,6 +246,12 @@ class TestConfigResolution:
         assert err.startswith("error [config]: ")
         assert argv[1] in err
         assert not any(tmp_path.iterdir())
+
+    def test_negative_seed_stops_verify_before_any_check(self, capsys):
+        assert run("verify", "--seed", "-1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error [config]: rng_seed")
 
 
 def test_import_leaves_scipy_unloaded():

@@ -38,6 +38,20 @@ def sphere_point(m, q0, seed):
     return math.sqrt(q0) * v / np.linalg.norm(v)
 
 
+def certify_minimum(basis, params, sol, q0):
+    """Cholesky of the reduced Hessian at sol, assembled as in newton_direction.
+
+    Raises LinAlgError unless the reduced Hessian is positive definite, which
+    at a converged solution certifies a minimum (Morse index 0), not a saddle.
+    """
+    problem = _SphereProblem(basis, params)
+    x = np.array(sol.coeffs)
+    phi = problem.phi(x)
+    theta = float(x @ problem.gradient(x, phi)) / q0
+    shifted, border = problem.reduced_hessian(x, phi, theta)
+    np.linalg.cholesky(shifted + border)
+
+
 def solve_with_run_lengths(basis, params, config):
     """Solve and return (solution, accepted steps of each descent run).
 
@@ -63,6 +77,8 @@ class TestSolveConfig:
             SolveConfig(q0=10.0, max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(q0=10.0, restarts=-1)
+        with pytest.raises(ValueError):
+            SolveConfig(q0=10.0, rng_seed=-1)
 
 
 class TestDiscreteFunctional:
@@ -178,10 +194,15 @@ class TestMinimize:
         def watch(_it, coeffs, _f, _g):
             drifts.append(abs(float(coeffs @ coeffs) - 100.0) / 100.0)
 
-        minimize_on_sphere(
-            basis, params, SolveConfig(q0=100.0, restarts=0), callback=watch
-        )
+        minimize_on_sphere(basis, params, SolveConfig(q0=100.0), callback=watch)
         assert drifts and max(drifts) < 1e-12
+
+    def test_callback_gradient_norm_is_the_new_iterates(self, basis, params):
+        norms = []
+        sol = minimize_on_sphere(
+            basis, params, SolveConfig(q0=100.0), callback=lambda *step: norms.append(step[3])
+        )
+        assert sol.converged and norms[-1] == sol.grad_norm
 
     def test_monotone_descent(self, basis, params):
         values = []
@@ -189,9 +210,7 @@ class TestMinimize:
         def watch(_it, _coeffs, f, _g):
             values.append(f)
 
-        minimize_on_sphere(
-            basis, params, SolveConfig(q0=100.0, restarts=0), callback=watch
-        )
+        minimize_on_sphere(basis, params, SolveConfig(q0=100.0), callback=watch)
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_solution_constraint_and_sign(self, basis, params, solve):
@@ -215,30 +234,24 @@ class TestMinimize:
         rho = basis.grid.nodes
         trapezoid = np.minimum(np.minimum(rho, 1.0), basis.p - rho)
         start = tuple(_project_to_basis(basis, trapezoid))
-        sol = minimize_on_sphere(
-            basis, params, SolveConfig(q0=100.0, start_coeffs=start, restarts=0)
-        )
+        sol = minimize_on_sphere(basis, params, SolveConfig(q0=100.0, start_coeffs=start))
         assert sol.converged
         assert sol.omega_sq == pytest.approx(solve(100.0).omega_sq, abs=1e-6)
 
     def test_custom_start(self, basis, params, solve):
         start = tuple(solve(100.0).coeffs)
-        sol = minimize_on_sphere(
-            basis,
-            params,
-            SolveConfig(q0=100.0, start_coeffs=start, restarts=0),
-        )
+        sol = minimize_on_sphere(basis, params, SolveConfig(q0=100.0, start_coeffs=start))
         assert sol.converged and sol.iterations <= 5
 
     def test_nonconvergence_is_flagged_with_gradient_norm(self, basis, params):
         sol = minimize_on_sphere(
-            basis, params, SolveConfig(q0=100.0, max_iter=2, restarts=0, grad_tol=1e-14)
+            basis, params, SolveConfig(q0=100.0, max_iter=2, grad_tol=1e-14)
         )
         assert not sol.converged
         assert sol.grad_norm > 0.0
 
     def test_determinism(self, basis, params):
-        cfg = SolveConfig(q0=50.0, rng_seed=123)
+        cfg = SolveConfig(q0=50.0, restarts=2, rng_seed=123)
         one = minimize_on_sphere(basis, params, cfg)
         two = minimize_on_sphere(basis, params, cfg)
         np.testing.assert_array_equal(one.coeffs, two.coeffs)
@@ -263,9 +276,7 @@ class TestDenseProfileMemory:
 
         tracemalloc.start()
         try:
-            sol = minimize_on_sphere(
-                basis, params, SolveConfig(q0=100.0, restarts=0), callback=mark
-            )
+            sol = minimize_on_sphere(basis, params, SolveConfig(q0=100.0), callback=mark)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -381,6 +392,33 @@ class TestSolveCost:
         sol, runs = solve_with_run_lengths(basis, params, config)
         assert sol.converged
         assert max(runs) < config.max_iter
+
+
+class TestOneDescentRun:
+    """A default solve is one descent run; it must end at a minimum, not a saddle."""
+
+    def test_table_rows_are_certified_minima(self, basis, params, table1, table2):
+        rows = [(params, q0, sol) for q0, sol in table1[0]]
+        rows += [(replace(params, n=n), 100.0, sol) for n, sol in table2]
+        for row_params, q0, sol in rows:
+            assert sol.converged
+            certify_minimum(basis, row_params, sol, q0)
+
+    def test_restarts_reproduce_the_default_solve(self):
+        # a seeded sample of the valid region: q0 >= 10 lies above the norm
+        # threshold pi*|n|/(a_pot*lam) for every n <= 6
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            p = float(rng.uniform(8.0, 40.0))
+            q0 = float(np.exp(rng.uniform(np.log(10.0), np.log(2000.0))))
+            params = ModelParams(n=n, p=p)
+            basis = build_basis(params, 60, build_grid(p, panels=48, order_per_panel=8))
+            one = minimize_on_sphere(basis, params, SolveConfig(q0=q0))
+            kept = minimize_on_sphere(basis, params, SolveConfig(q0=q0, restarts=2))
+            assert one.converged and kept.converged, (n, p, q0)
+            certify_minimum(basis, params, one, q0)
+            assert one.omega_sq == pytest.approx(kept.omega_sq, abs=1e-7), (n, p, q0)
 
 
 class TestModelBoundsOnSolutions:

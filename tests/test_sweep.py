@@ -30,7 +30,7 @@ class TestSweepQ0:
             params,
             basis,
             [50.0, 100.0],
-            SolveConfig(q0=50.0, max_iter=2, restarts=0, grad_tol=1e-14),
+            SolveConfig(q0=50.0, max_iter=2, grad_tol=1e-14),
         )
         assert len(solutions) == 2
         assert not any(sol.converged for sol in solutions)
