@@ -417,12 +417,11 @@ class _SphereProblem:
         the largest), so every negative-curvature direction is descended.
         """
         shifted, border = self.reduced_hessian(x, phi_x, theta)
-        norm_sq = float(np.dot(x, x))
         block = shifted + border
         try:
             np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            unit = x / math.sqrt(norm_sq)
+            unit = x / math.sqrt(float(np.dot(x, x)))
             proj = np.eye(len(x)) - np.outer(unit, unit)
             evals, evecs = np.linalg.eigh(proj @ shifted @ proj + border)
             scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
