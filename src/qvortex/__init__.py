@@ -13,7 +13,6 @@ available as a runtime verifier.
 
 from .basis import SpectralBasis, build_basis, evaluate, evaluate_derivatives
 from .crosscheck import FdSolution, bessel_first_zero, fd_minimize
-from .estimator import NotFittedError, QVortexSolver
 from .model import (
     ModelParams,
     TheoryBounds,
@@ -65,7 +64,5 @@ __all__ = [
     "bessel_first_zero",
     "sweep_q0",
     "sweep_n",
-    "QVortexSolver",
-    "NotFittedError",
     "__version__",
 ]

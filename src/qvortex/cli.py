@@ -15,20 +15,21 @@ oracle-compare : spectral vs finite-difference solver at one (n, q0);
 
 Configuration is a flat key=value text file, overridable per key with
 --set key=value and with the dedicated flags. The keys and their defaults
-are CONFIG_DEFAULTS: the fields of ModelParams, the discretization and the
-numeric options of SolveConfig (estimator.PIPELINE_DEFAULTS), and
-output_dir. The fully resolved configuration and the package version are
-echoed into every output file, and outputs are byte-deterministic for a
-fixed configuration and seed: floats are written with 17 significant digits
-(lossless for doubles) and nothing time- or host-dependent is emitted.
+are CONFIG_DEFAULTS: the fields of ModelParams, the discretization, the
+numeric options of SolveConfig, and output_dir. The fully resolved
+configuration and the package version are echoed into every output file,
+and outputs are byte-deterministic for a fixed configuration, seed and BLAS
+thread count: floats are written with 17 significant digits (lossless for
+doubles) and nothing time- or host-dependent is emitted.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,7 @@ import numpy as np
 from . import __version__
 from .basis import build_basis, evaluate, evaluate_derivatives
 from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
-from .estimator import PIPELINE_DEFAULTS, split_config
-from .model import BENCHMARK_Q0, theory_bounds
+from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import ORDER_PER_PANEL_MIN, build_grid
 from .solver import (
     SolveConfig,
@@ -55,7 +55,20 @@ __all__ = ["main"]
 TABLE1_Q0 = (10.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 TABLE2_N = (1, 2, 3, 4, 5)
 
-CONFIG_DEFAULTS = {**PIPELINE_DEFAULTS, "output_dir": "out"}
+_GRID_DEFAULTS = inspect.signature(build_grid).parameters
+
+# The flat key table of every command: the fields of ModelParams, the
+# discretization, the numeric options of SolveConfig (q0 is a per-command
+# flag; start_coeffs is not a number), and output_dir. Defaults are taken
+# from where they are declared: the dataclasses and build_grid's signature.
+CONFIG_DEFAULTS = {
+    **{f.name: f.default for f in fields(ModelParams)},
+    "basis_size": 60,
+    "quad_panels": _GRID_DEFAULTS["panels"].default,
+    "quad_order": _GRID_DEFAULTS["order_per_panel"].default,
+    **{f.name: f.default for f in fields(SolveConfig) if isinstance(f.default, (int, float))},
+    "output_dir": "out",
+}
 
 
 def _coerce(key, raw):
@@ -105,8 +118,10 @@ def resolve_config(args):
         values["rng_seed"] = int(args.seed)
     if args.out is not None:
         values["output_dir"] = str(args.out)
-    params, solve = split_config(values)
-    config = SolveConfig(q0=1.0, **solve)
+    params = ModelParams(**{f.name: values[f.name] for f in fields(ModelParams)})
+    config = SolveConfig(
+        q0=1.0, **{f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
+    )
     check_positive_int("basis_size", values["basis_size"])
     check_positive_int("quad_panels", values["quad_panels"])
     check_positive_int("quad_order", values["quad_order"], minimum=ORDER_PER_PANEL_MIN)

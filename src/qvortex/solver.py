@@ -103,10 +103,10 @@ class SolveConfig:
     def __post_init__(self):
         object.__setattr__(self, "q0", check_positive("q0", self.q0))
         object.__setattr__(self, "grad_tol", check_positive("grad_tol", self.grad_tol))
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        object.__setattr__(self, "max_iter", check_positive_int("max_iter", self.max_iter))
+        object.__setattr__(
+            self, "restarts", check_positive_int("restarts", self.restarts, minimum=0)
+        )
         object.__setattr__(
             self, "rng_seed", check_positive_int("rng_seed", self.rng_seed, minimum=0)
         )

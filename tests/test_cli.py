@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import qvortex
-from qvortex.cli import main
+from qvortex import ModelParams, SolveConfig, build_grid
+from qvortex.cli import CONFIG_DEFAULTS, main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
 TABLE2_HEADER = "n,omega_sq,phi_max,residual_error,iterations,converged"
@@ -247,11 +249,33 @@ class TestConfigResolution:
         assert argv[1] in err
         assert not any(tmp_path.iterdir())
 
+    def test_keys_and_defaults_come_from_their_declarations(self):
+        assert list(CONFIG_DEFAULTS) == [
+            "lam", "a_pot", "b", "n", "p",
+            "basis_size", "quad_panels", "quad_order",
+            "grad_tol", "max_iter", "restarts", "rng_seed",
+            "output_dir",
+        ]
+        grid = inspect.signature(build_grid).parameters
+        assert CONFIG_DEFAULTS["quad_panels"] == grid["panels"].default
+        assert CONFIG_DEFAULTS["quad_order"] == grid["order_per_panel"].default
+        model, solve = ModelParams(), SolveConfig(q0=1.0)
+        for name, default in CONFIG_DEFAULTS.items():
+            for source in (model, solve):
+                if hasattr(source, name):
+                    assert getattr(source, name) == default, name
+
     def test_negative_seed_stops_verify_before_any_check(self, capsys):
         assert run("verify", "--seed", "-1") == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error [config]: rng_seed")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from qvortex import *", namespace)
+    assert [name for name in qvortex.__all__ if name not in namespace] == []
 
 
 def test_import_leaves_scipy_unloaded():

@@ -79,6 +79,10 @@ class TestSolveConfig:
             SolveConfig(q0=10.0, restarts=-1)
         with pytest.raises(ValueError):
             SolveConfig(q0=10.0, rng_seed=-1)
+        with pytest.raises(ValueError):
+            SolveConfig(q0=10.0, max_iter=2.5)
+        with pytest.raises(ValueError):
+            SolveConfig(q0=10.0, restarts=0.5)
 
 
 class TestDiscreteFunctional:
