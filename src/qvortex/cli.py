@@ -317,13 +317,14 @@ def cmd_dispersion(cfg, params, solve, q0_min, q0_max, points):
 def _oracle_agreement(basis, sol, fd):
     """(|d omega_sq|, max profile difference on the oracle grid, agree).
 
-    The spectral and finite-difference solutions agree when |d omega_sq| <
-    0.01 and the profiles differ by less than 0.02 * phi_max.
+    The spectral and finite-difference solutions agree when the
+    finite-difference solve converged, |d omega_sq| < 0.01 and the profiles
+    differ by less than 0.02 * phi_max.
     """
     d_omega = abs(fd.omega_sq - sol.omega_sq)
     phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
     d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
-    return d_omega, d_prof, d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
+    return d_omega, d_prof, fd.converged and d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
 
 
 def cmd_verify(cfg, params, solve, decay_p0=None):
@@ -400,6 +401,8 @@ def cmd_oracle_compare(cfg, params, solve, q0, n_fd):
         "config": _config_echo(cfg, {"q0": float(q0), "n_fd": int(n_fd)}),
         "spectral_omega_sq": sol.omega_sq,
         "fd_omega_sq": fd.omega_sq,
+        "fd_converged": fd.converged,
+        "fd_iterations": fd.iterations,
         "delta_omega_sq": d_omega,
         "profile_max_diff": d_prof,
         "phi_max": sol.phi_max,

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qvortex
-from qvortex import ModelParams, SolveConfig, build_grid
-from qvortex.cli import CONFIG_DEFAULTS, main
+from qvortex import ModelParams, SolveConfig, build_grid, fd_minimize
+from qvortex.cli import CONFIG_DEFAULTS, _oracle_agreement, main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
 TABLE2_HEADER = "n,omega_sq,phi_max,residual_error,iterations,converged"
@@ -183,6 +184,14 @@ class TestOracleCompareCommand:
         payload = json.loads((out / "oracle_compare.json").read_text())
         assert payload["agree"] is True
         assert payload["delta_omega_sq"] < 0.01
+        assert payload["fd_converged"] is True
+        assert 0 < payload["fd_iterations"] < 100
+
+    def test_unconverged_oracle_does_not_agree(self, basis, params, solve):
+        sol = solve(100.0)
+        fd = fd_minimize(params, 100.0, n_fd=2000)
+        assert _oracle_agreement(basis, sol, fd)[2]
+        assert not _oracle_agreement(basis, sol, replace(fd, converged=False))[2]
 
 
 class TestConfigResolution:

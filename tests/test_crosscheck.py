@@ -44,6 +44,10 @@ class TestFdMinimize:
             fd_minimize(params, 100.0, n_fd=50)
         with pytest.raises(ValueError):
             fd_minimize(params, -1.0)
+        for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-7}, {"max_iter": 0},
+                    {"max_iter": 2.5}):
+            with pytest.raises(ValueError):
+                fd_minimize(params, 100.0, **bad)
 
     def test_agrees_with_spectral_solver(self, basis, params, solve):
         fd = fd_minimize(params, 100.0, n_fd=2000)
@@ -72,6 +76,25 @@ class TestFdMinimize:
         coarse = fd_minimize(params, 100.0, n_fd=2000)
         fine = fd_minimize(params, 100.0, n_fd=4000)
         assert abs(fine.omega_sq - coarse.omega_sq) < 1e-3
+
+    @pytest.mark.parametrize("n,q0", [(1, 100.0), (2, 100.0), (3, 100.0), (1, 0.01)])
+    def test_newton_step_budget(self, params, n, q0):
+        fd = fd_minimize(replace(params, n=n), q0, n_fd=2000)
+        assert fd.converged
+        assert fd.iterations < 100
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lands_on_the_discrete_minimizer(self, params, n):
+        # omega_sq is first order in the distance to the minimizer: the
+        # default stop leaves 1e-13 (n=1) and 1.5e-9 (n=2) after the last
+        # Newton step, where preconditioned descent left 8.6e-8 and 6.6e-8.
+        # 1e-10 sits well above the tangent gradient's rounding floor
+        # (~1e-12), so the reference run converges.
+        row = replace(params, n=n)
+        fd = fd_minimize(row, 100.0, n_fd=2000)
+        ref = fd_minimize(row, 100.0, n_fd=2000, grad_tol=1e-10)
+        assert fd.converged and ref.converged
+        assert abs(fd.omega_sq - ref.omega_sq) < 1e-8
 
     def test_linear_limit(self, params):
         fd = fd_minimize(params, 0.01, n_fd=2000)
