@@ -30,7 +30,6 @@ from .solver import (
     check_decay_envelope,
     dense_profile,
     minimize_on_sphere,
-    recover_omega_sq,
     residual_error,
 )
 from .sweep import sweep_n, sweep_q0
@@ -55,7 +54,6 @@ __all__ = [
     "VortexSolution",
     "PROFILE_POINTS",
     "minimize_on_sphere",
-    "recover_omega_sq",
     "residual_error",
     "dense_profile",
     "check_decay_envelope",

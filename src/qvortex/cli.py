@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .basis import build_basis, evaluate, evaluate_derivatives
-from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
+from .crosscheck import BESSEL_ORDER_MAX, N_FD_MIN, bessel_first_zero, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import ORDER_PER_PANEL_MIN, build_grid
 from .solver import (
@@ -141,8 +141,11 @@ def _check_flags(args, params):
         if not q0_min < q0_max:
             raise ValueError(f"need --q0-min < --q0-max, got {q0_min} >= {q0_max}")
         check_positive_int("--points", args.points, minimum=2)
-    if args.command == "verify" and args.decay_p0 is not None:
-        if not 0.0 < args.decay_p0 < params.p:
+    if args.command == "verify":
+        if abs(params.n) > BESSEL_ORDER_MAX:
+            raise ValueError(f"--n must lie in -{BESSEL_ORDER_MAX}..{BESSEL_ORDER_MAX} "
+                             f"for the linear-limit check, got {params.n}")
+        if args.decay_p0 is not None and not 0.0 < args.decay_p0 < params.p:
             raise ValueError(f"--decay-p0 must lie in (0, {params.p}), got {args.decay_p0}")
 
 

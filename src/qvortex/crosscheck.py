@@ -30,6 +30,7 @@ from .validation import check_positive, check_positive_int, readonly
 __all__ = ["FdSolution", "fd_minimize", "bessel_first_zero"]
 
 N_FD_MIN = 100  # fewest grid intervals fd_minimize accepts
+BESSEL_ORDER_MAX = 10  # highest order bessel_first_zero accepts
 
 
 def _bessel_j(order, x):
@@ -46,14 +47,14 @@ def _bessel_j(order, x):
 
 
 def bessel_first_zero(order):
-    """First positive zero of the Bessel function J_order, order <= 10.
+    """First positive zero of the Bessel function J_order, order <= BESSEL_ORDER_MAX.
 
     Brackets the zero by stepping outward from the origin (J_order is
     positive before its first zero), then bisects to 1e-8 absolute.
     """
     order = int(order)
-    if order < 0 or order > 10:
-        raise ValueError(f"order must be in 0..10, got {order}")
+    if not 0 <= order <= BESSEL_ORDER_MAX:
+        raise ValueError(f"order must be in 0..{BESSEL_ORDER_MAX}, got {order}")
     step = 0.25
     lo = 0.5
     f_lo = _bessel_j(order, lo)

@@ -26,13 +26,15 @@ descent directions. Either way Armijo backtracking from the full step picks
 the step length, and the iterate is retracted by rescaling back to radius
 sqrt(Q0) (an exact retraction).
 
-The squared frequency emerges as the constraint's Lagrange multiplier and is
-recovered by projecting the stationarity condition onto the solution:
+The squared frequency is the Lagrange multiplier of the norm constraint:
 
-    omega^2 = (4*pi/Q0) * ( int rho*phi_rho^2 + n^2 * int phi^2/rho
-                            + int rho*phi*U'(phi) ),
+    omega^2 = 4*pi*theta + 2*lam*b,
 
-equivalently omega^2 = (4*pi/Q0) * a.grad F(a) + 2*lam*b on the sphere.
+with theta = a.grad F(a)/Q0 the multiplier estimate of the Newton step,
+taken at the solution (grad F = theta*a at a stationary point on the
+sphere). The potential's quadratic term, which F carries only as the
+constant lam*b*Q0/(4*pi), contributes the 2*lam*b.
+
 Solution quality is reported as the residual of the radial field equation,
 
     RE = (1/p) * sqrt( int (phi_rhorho + phi_rho/rho - n^2 phi/rho^2
@@ -61,7 +63,6 @@ __all__ = [
     "VortexSolution",
     "PROFILE_POINTS",
     "minimize_on_sphere",
-    "recover_omega_sq",
     "residual_error",
     "residual_error_split",
     "dense_profile",
@@ -135,35 +136,6 @@ class VortexSolution:
     converged: bool
     f_value: float
     grad_norm: float
-
-
-def _nonlinear_energy(phi, w_rho, lam, a_pot):
-    """lam * int rho*(phi^6 - a_pot*phi^4) on the grid (phi sampled at nodes)."""
-    ph2 = phi * phi
-    return lam * float(np.dot(w_rho, ph2 * ph2 * (ph2 - a_pot)))
-
-
-def _nonlinear_gradient(phi, psi_nodes, w_rho, lam, a_pot):
-    """Gradient of _nonlinear_energy with respect to the coefficients."""
-    ph2 = phi * phi
-    return lam * (psi_nodes @ (w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * a_pot))))
-
-
-def recover_omega_sq(coeffs, basis, params, q0):
-    """Squared frequency from the stationarity condition projected on phi."""
-    a = check_coeffs("coeffs", coeffs, basis.m)
-    q0 = check_positive("q0", q0)
-    norm_sq = float(a @ a)
-    if abs(norm_sq - q0) > 1e-6 * q0:
-        raise ValueError(
-            f"coefficients violate the constraint: |a|^2 = {norm_sq} but q0 = {q0}"
-        )
-    phi = a @ basis.psi_nodes
-    w_rho = basis.grid.weights * basis.grid.nodes
-    grad_term = float(a @ (basis.k_matrix @ a))
-    cent_term = float(a @ (basis.c_matrix @ a))
-    pot_term = float(np.dot(w_rho, phi * potential_derivative(phi, params)))
-    return 4.0 * math.pi / q0 * (grad_term + params.n**2 * cent_term + pot_term)
 
 
 def _residual_on_nodes(coeffs, omega_sq, basis, params):
@@ -316,10 +288,11 @@ def _rowdot(u, v):
 class _SphereProblem:
     """F minus its additive constant, with machine-accurate differences.
 
-    value() and gradient() are F(a) - lam*b*q0/(4*pi) and its Euclidean
-    gradient (K + n^2 C) a + lam * g_nl; the constant cannot move the
-    minimizer, so minimize_on_sphere adds it back only to the reported
-    value.
+    This is the one evaluation of F and its derivatives. The constant
+    lam*b*q0/(4*pi) cannot move the minimizer, so minimize_on_sphere adds
+    it back only to the reported value; without it F(0) = 0, and value()
+    is delta() taken from the origin. gradient() is the Euclidean gradient
+    (K + n^2 C) a + lam * int rho*phi^3*(6 phi^2 - 4 a_pot) psi.
 
     Near the minimizer the Armijo test must resolve decreases far below the
     roundoff of F itself, so the line search never compares two absolute
@@ -339,19 +312,15 @@ class _SphereProblem:
     def phi(self, a):
         return a @ self.psi
 
-    def value(self, a, phi=None):
-        if phi is None:
-            phi = self.phi(a)
-        return 0.5 * float(a @ (self.mat @ a)) + _nonlinear_energy(
-            phi, self.w_rho, self.lam, self.a_pot
-        )
+    def value(self, a):
+        return float(self.delta(np.zeros_like(a), 0.0, a)[0])
 
     def gradient(self, a, phi=None):
         if phi is None:
             phi = self.phi(a)
-        return self.mat @ a + _nonlinear_gradient(
-            phi, self.psi, self.w_rho, self.lam, self.a_pot
-        )
+        ph2 = phi * phi
+        nl = self.psi @ (self.w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * self.a_pot)))
+        return self.mat @ a + self.lam * nl
 
     def delta(self, x, phi_x, cand, theta=0.0):
         """(F(cand) - F(x), phi(cand)) without cancellation in F.
@@ -436,7 +405,7 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
     radius = math.sqrt(q0)
     x = x0 * (radius / np.linalg.norm(x0))
     phi_x = problem.phi(x)
-    f_led = problem.value(x, phi_x)
+    f_led = problem.value(x)
     g = problem.gradient(x, phi_x)
     iterations = 0
     while True:
@@ -488,9 +457,11 @@ def minimize_on_sphere(basis, params, config, callback=None):
 
     Runs one descent from the configured start, then `restarts` reruns
     (none by default) from the kept minimizer perturbed by 1% relative
-    noise seeded by rng_seed, and keeps the lowest final F. The callback,
-    when given, receives (iteration, coeffs, f, tangent_grad_norm) after
-    every accepted step of every run, all taken at the new iterate.
+    noise seeded by rng_seed, and keeps the lowest final F. omega_sq is the
+    constraint's multiplier, 4*pi*(a.grad F(a))/q0 + 2*lam*b at the kept
+    minimizer. The callback, when given, receives (iteration, coeffs, f,
+    tangent_grad_norm) after every accepted step of every run, all taken at
+    the new iterate.
     """
     if basis.p != params.p:
         raise ValueError(f"basis built for p={basis.p}, params have p={params.p}")
@@ -524,10 +495,11 @@ def minimize_on_sphere(basis, params, config, callback=None):
     if phi_dense[peak] < 0.0:
         coeffs = -coeffs
         phi_dense = -phi_dense
-    omega_sq = recover_omega_sq(coeffs, basis, params, config.q0)
+    theta = float(coeffs @ problem.gradient(coeffs)) / config.q0
+    omega_sq = 4.0 * math.pi * theta + 2.0 * params.lam * params.b
     return VortexSolution(
         coeffs=readonly(coeffs),
-        omega_sq=float(omega_sq),
+        omega_sq=omega_sq,
         residual_error=residual_error(coeffs, omega_sq, basis, params),
         phi_max=float(np.max(np.abs(phi_dense))),
         iterations=total_iterations,

@@ -42,6 +42,20 @@ class TestSolveCommand:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
 
+    def test_negative_winding_matches_positive(self, tmp_path):
+        # the model depends on n only through n^2: every output but the
+        # config echo is the same for n = -2 and n = 2
+        outputs = []
+        for n in ("2", "-2"):
+            out = tmp_path / n
+            assert run("solve", "--n", n, "--out", str(out)) == 0
+            payloads = [json.loads((out / name).read_text())
+                        for name in ("solution.json", "bounds.json")]
+            for payload in payloads:
+                assert payload.pop("config")["n"] == int(n)
+            outputs.append((payloads, data_lines(out / "profile.csv")))
+        assert outputs[0] == outputs[1]
+
     def test_rejects_nonpositive_norm(self, tmp_path, capsys):
         assert run("solve", "--q0", "0", "--out", str(tmp_path)) == 2
         assert "q0" in capsys.readouterr().err
@@ -176,6 +190,9 @@ class TestVerifyCommand:
         assert run("verify", "--out", str(tmp_path), "--decay-p0", "18.0") == 0
         assert "decay: PASS" in capsys.readouterr().out
 
+    def test_negative_winding_passes(self, tmp_path):
+        assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
+
 
 class TestOracleCompareCommand:
     def test_agreement_at_benchmark_norm(self, tmp_path):
@@ -249,11 +266,13 @@ class TestConfigResolution:
             ["oracle-compare", "--q0", "-1"],
             ["oracle-compare", "--n-fd", "10"],
             ["verify", "--decay-p0", "30"],
+            ["verify", "--n", "11"],
         ],
     )
     def test_invalid_flag_is_a_config_error(self, tmp_path, capsys, argv):
         assert run(*argv, "--out", str(tmp_path)) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error [config]: ")
         assert argv[1] in err
         assert not any(tmp_path.iterdir())

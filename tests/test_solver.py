@@ -16,14 +16,11 @@ from qvortex import (
     dense_profile,
     evaluate,
     minimize_on_sphere,
-    recover_omega_sq,
     residual_error,
     sweep_q0,
 )
-from qvortex.model import decay_edge
+from qvortex.model import decay_edge, potential_derivative
 from qvortex.solver import (
-    _nonlinear_energy,
-    _nonlinear_gradient,
     _project_to_basis,
     _SphereProblem,
     check_solution,
@@ -86,7 +83,11 @@ class TestSolveConfig:
 
 
 class TestDiscreteFunctional:
-    """F(a) = _SphereProblem.value(a) + lam*b*q0/(4*pi)."""
+    """F(a) = _SphereProblem.value(a) + lam*b*q0/(4*pi).
+
+    omega_sq is the multiplier of the norm constraint,
+    4*pi*(a.grad F(a))/q0 + 2*lam*b at the solution.
+    """
 
     def test_zero_coefficients_leave_only_the_constant(self, basis, params, solve):
         problem = _SphereProblem(basis, params)
@@ -112,17 +113,30 @@ class TestDiscreteFunctional:
     def test_nonlinear_homogeneity_degrees(self, basis, params):
         # with the quartic term switched off the remaining terms scale as
         # s (quadratic form) and s^3 (sextic integral) under a -> sqrt(s)*a
+        quadratic = _SphereProblem(basis, params)
+        quadratic.lam = 0.0
+        sextic = _SphereProblem(basis, params)
+        sextic.a_pot = 0.0
+        sextic.mat = np.zeros_like(sextic.mat)
         a = sphere_point(basis.m, 4.0, seed=5)
-        w_rho = basis.grid.weights * basis.grid.nodes
+        for s in (0.25, 4.0):
+            b = math.sqrt(s) * a
+            assert sextic.value(b) == pytest.approx(s**3 * sextic.value(a), rel=1e-12)
+            assert quadratic.value(b) == pytest.approx(s * quadratic.value(a), rel=1e-12)
+
+    def test_omega_sq_is_the_constraint_multiplier(self, basis, params, solve):
+        # 4*pi*(a.grad F)/q0 + 2*lam*b is the field equation projected on
+        # phi, with the model's U'(phi) as the reference
+        sol = solve(100.0)
+        a = np.array(sol.coeffs)
         phi = a @ basis.psi_nodes
-        for s in (1.0, 4.0):
-            sext = _nonlinear_energy(math.sqrt(s) * phi, w_rho, params.lam, 0.0)
-            assert sext == pytest.approx(
-                s**3 * _nonlinear_energy(phi, w_rho, params.lam, 0.0), rel=1e-12
-            )
-            mat = basis.k_matrix + basis.c_matrix
-            quad = 0.5 * (math.sqrt(s) * a) @ mat @ (math.sqrt(s) * a)
-            assert quad == pytest.approx(s * 0.5 * a @ mat @ a, rel=1e-12)
+        w_rho = basis.grid.weights * basis.grid.nodes
+        projected = 4.0 * math.pi / 100.0 * (
+            a @ basis.k_matrix @ a
+            + params.n**2 * a @ basis.c_matrix @ a
+            + w_rho @ (phi * potential_derivative(phi, params))
+        )
+        assert sol.omega_sq == pytest.approx(projected, rel=1e-12)
 
     def test_dimension_mismatch(self, basis, params):
         with pytest.raises(ValueError):
@@ -136,14 +150,16 @@ class TestFunctionalGradient:
         )
 
     def test_quadratic_plus_nonlinear_decomposition(self, basis, params):
+        # the gradient's nonlinear part is that of the sextic-quartic
+        # integral, the difference of value() from its quadratic form
+        problem = _SphereProblem(basis, params)
         a = sphere_point(basis.m, 100.0, seed=11)
-        phi = a @ basis.psi_nodes
-        w_rho = basis.grid.weights * basis.grid.nodes
-        g_nl = _nonlinear_gradient(phi, basis.psi_nodes, w_rho, params.lam, params.a_pot)
         mat = basis.k_matrix + params.n**2 * basis.c_matrix
-        np.testing.assert_allclose(
-            _SphereProblem(basis, params).gradient(a) - g_nl, mat @ a, rtol=1e-12, atol=1e-12
-        )
+        g_nl = problem.gradient(a) - mat @ a
+        step = 1e-4 * sphere_point(basis.m, 1.0, seed=12)
+        d_nl = problem.value(a + step) - problem.value(a - step)
+        d_nl -= 2.0 * step @ mat @ a
+        assert d_nl == pytest.approx(2.0 * step @ g_nl, rel=1e-7)
 
     def test_matches_finite_differences_on_sphere(self, basis, params):
         worst = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
@@ -492,37 +508,6 @@ class TestCheckSolution:
         # the ceiling and the decay envelope apply on the same side of the edge
         assert verdict["decay_envelope"][1] == ceiling[1]
         assert checks["decay_envelope"]["p0"] == 0.75 * params.p
-
-
-class TestOmegaRecovery:
-    def test_multiplier_identity_on_the_sphere(self, basis, params, solve):
-        # omega_sq = (4*pi/q0) * a.grad F(a) + 2*lam*b holds identically on
-        # the constraint sphere, converged or not
-        gradient = _SphereProblem(basis, params).gradient
-        for q0, seed in ((100.0, 2), (1000.0, 3)):
-            a = sphere_point(basis.m, q0, seed)
-            lhs = recover_omega_sq(a, basis, params, q0)
-            rhs = (
-                4.0 * math.pi / q0 * float(a @ gradient(a))
-                + 2.0 * params.lam * params.b
-            )
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-        sol = solve(100.0)
-        lhs = recover_omega_sq(sol.coeffs, basis, params, 100.0)
-        rhs = (
-            4.0 * math.pi / 100.0
-            * float(sol.coeffs @ gradient(sol.coeffs))
-            + 2.0 * params.lam * params.b
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-6)
-
-    def test_constraint_violation_rejected(self, basis, params):
-        with pytest.raises(ValueError, match="constraint"):
-            recover_omega_sq(np.ones(basis.m), basis, params, 100.0)
-
-    def test_nonpositive_norm_rejected(self, basis, params):
-        with pytest.raises(ValueError):
-            recover_omega_sq(np.zeros(basis.m), basis, params, 0.0)
 
 
 class TestResidualError:
