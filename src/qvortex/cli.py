@@ -8,8 +8,8 @@ table1         : norm sweep q0 in {10, 50, 100, 200, 500, 1000}; table1.csv
 table2         : winding sweep n in 1..5 at q0 = 100; table2.csv
 dispersion     : log-spaced norm sweep for frequency-vs-norm data;
                  dispersion.csv
-verify         : run the invariant suite and print one PASS/FAIL line per
-                 check; exit 0 iff all pass
+verify         : run the invariant suite at the configured parameters and
+                 print one PASS/FAIL line per check; exit 0 iff all pass
 oracle-compare : spectral vs finite-difference solver at one (n, q0);
                  oracle_compare.json
 
@@ -72,7 +72,12 @@ CONFIG_DEFAULTS = {
 
 
 def _coerce(key, raw):
-    return type(CONFIG_DEFAULTS[key])(raw)
+    kind = type(CONFIG_DEFAULTS[key])
+    try:
+        return kind(raw)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {raw!r}") from None
 
 
 def parse_config_file(path):
@@ -87,7 +92,10 @@ def parse_config_file(path):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -145,8 +153,6 @@ def _check_flags(args, params):
         if abs(params.n) > BESSEL_ORDER_MAX:
             raise ValueError(f"--n must lie in -{BESSEL_ORDER_MAX}..{BESSEL_ORDER_MAX} "
                              f"for the linear-limit check, got {params.n}")
-        if args.decay_p0 is not None and not 0.0 < args.decay_p0 < params.p:
-            raise ValueError(f"--decay-p0 must lie in (0, {params.p}), got {args.decay_p0}")
 
 
 def _fmt(value):
@@ -170,21 +176,6 @@ def _csv_text(cfg, header, rows, extra=None):
     return "\n".join(lines) + "\n"
 
 
-def _write(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_json(path, payload):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _build(cfg, params):
-    grid = build_grid(params.p, cfg["quad_panels"], cfg["quad_order"])
-    return build_basis(params, cfg["basis_size"], grid)
-
-
 def _stage(name):
     def decorate(fn):
         def wrapped(*a, **kw):
@@ -198,7 +189,23 @@ def _stage(name):
     return decorate
 
 
-def cmd_solve(cfg, params, solve, q0):
+@_stage("write")
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def _write_json(path, payload):
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _build(cfg, params):
+    grid = build_grid(params.p, cfg["quad_panels"], cfg["quad_order"])
+    return build_basis(params, cfg["basis_size"], grid)
+
+
+def cmd_solve(cfg, params, solve, args):
+    q0 = args.q0
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
@@ -263,7 +270,7 @@ def _unconverged(keys, solutions):
     return [key for key, sol in zip(keys, solutions) if not sol.converged]
 
 
-def cmd_table1(cfg, params, solve):
+def cmd_table1(cfg, params, solve, args):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     solutions = _stage("solve")(sweep_q0)(
@@ -281,7 +288,7 @@ def cmd_table1(cfg, params, solve):
     return 0
 
 
-def cmd_table2(cfg, params, solve):
+def cmd_table2(cfg, params, solve, args):
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     solutions = _stage("solve")(sweep_n)(
@@ -296,7 +303,8 @@ def cmd_table2(cfg, params, solve):
     return 0
 
 
-def cmd_dispersion(cfg, params, solve, q0_min, q0_max, points):
+def cmd_dispersion(cfg, params, solve, args):
+    q0_min, q0_max, points = args.q0_min, args.q0_max, args.points
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     q0_list = np.geomspace(q0_min, q0_max, points).tolist()
@@ -330,7 +338,7 @@ def _oracle_agreement(basis, sol, fd):
     return d_omega, d_prof, fd.converged and d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
 
 
-def cmd_verify(cfg, params, solve, decay_p0=None):
+def cmd_verify(cfg, params, solve, args):
     results = []
 
     def report(name, ok, detail):
@@ -356,7 +364,7 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
 
     sol = minimize_on_sphere(basis, params, replace(solve, q0=BENCHMARK_Q0))
     bounds = theory_bounds(params)
-    checks = check_solution(basis, sol, BENCHMARK_Q0, params, decay_p0)
+    checks = check_solution(basis, sol, BENCHMARK_Q0, params)
     decay = checks.pop("decay_envelope")
     window_ok = bounds.omega_sq_min < sol.omega_sq < bounds.omega_sq_max
     report(
@@ -378,14 +386,8 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
         f"omega_sq {lin.omega_sq:.6f} vs {target:.6f}",
     )
 
-    oracle_params = replace(params, n=1)
-    spec_sol = (
-        sol
-        if params.n == 1
-        else minimize_on_sphere(basis, oracle_params, replace(solve, q0=BENCHMARK_Q0))
-    )
-    fd = fd_minimize(oracle_params, BENCHMARK_Q0, n_fd=2000)
-    d_omega, d_prof, agree = _oracle_agreement(basis, spec_sol, fd)
+    fd = fd_minimize(params, BENCHMARK_Q0, n_fd=2000)
+    d_omega, d_prof, agree = _oracle_agreement(basis, sol, fd)
     report("oracle_cross", agree, f"|d omega_sq| {d_omega:.2e}, profile diff {d_prof:.2e}")
 
     ok = all(results)
@@ -393,7 +395,8 @@ def cmd_verify(cfg, params, solve, decay_p0=None):
     return 0 if ok else 1
 
 
-def cmd_oracle_compare(cfg, params, solve, q0, n_fd):
+def cmd_oracle_compare(cfg, params, solve, args):
+    q0, n_fd = args.q0, args.n_fd
     out = Path(cfg["output_dir"])
     basis = _stage("basis")(_build)(cfg, params)
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
@@ -440,22 +443,26 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common], help="one constrained solve")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("--q0", type=float, default=BENCHMARK_Q0, help="prescribed reduced norm")
 
-    sub.add_parser("table1", parents=[common], help="norm sweep at n from config")
-    sub.add_parser("table2", parents=[common], help="winding sweep 1..5 at q0=100")
+    sub.add_parser("table1", parents=[common], help="norm sweep at n from config"
+                   ).set_defaults(run=cmd_table1)
+    sub.add_parser("table2", parents=[common], help="winding sweep 1..5 at q0=100"
+                   ).set_defaults(run=cmd_table2)
 
     p_disp = sub.add_parser("dispersion", parents=[common], help="frequency vs norm data")
+    p_disp.set_defaults(run=cmd_dispersion)
     p_disp.add_argument("--q0-min", type=float, default=10.0)
     p_disp.add_argument("--q0-max", type=float, default=1000.0)
     p_disp.add_argument("--points", type=int, default=25)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    p_verify.add_argument("--decay-p0", type=float, default=None,
-                          help="inner radius of the tail check (default 0.75*p)")
+    sub.add_parser("verify", parents=[common], help="run the invariant suite"
+                   ).set_defaults(run=cmd_verify)
 
     p_oracle = sub.add_parser("oracle-compare", parents=[common],
                               help="spectral vs finite-difference cross-check")
+    p_oracle.set_defaults(run=cmd_oracle_compare)
     p_oracle.add_argument("--q0", type=float, default=BENCHMARK_Q0)
     p_oracle.add_argument("--n-fd", type=int, default=2000)
 
@@ -471,22 +478,10 @@ def main(argv=None):
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "solve":
-            return cmd_solve(*run, args.q0)
-        if args.command == "table1":
-            return cmd_table1(*run)
-        if args.command == "table2":
-            return cmd_table2(*run)
-        if args.command == "dispersion":
-            return cmd_dispersion(*run, args.q0_min, args.q0_max, args.points)
-        if args.command == "verify":
-            return cmd_verify(*run, args.decay_p0)
-        if args.command == "oracle-compare":
-            return cmd_oracle_compare(*run, args.q0, args.n_fd)
+        return args.run(*run, args)
     except RuntimeError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -237,12 +237,11 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
         phi, f_val, g = cand, f_new, g_new
         iterations += 1
 
+    # g is the gradient at phi and odd in phi, so phi . g survives the flip
+    omega_sq = 4.0 * math.pi * np.dot(phi, g) / q0
     # orient the profile so its largest extremum is positive
     if phi[np.argmax(np.abs(phi))] < 0.0:
         phi = -phi
-
-    _, g = action_and_grad(phi)
-    omega_sq = 4.0 * math.pi * np.dot(phi, g) / q0
     full = np.zeros(n_fd + 1)
     full[1:-1] = phi
     return FdSolution(

@@ -202,17 +202,17 @@ def check_decay_envelope(basis, coeffs, omega_sq, params, p0=None):
     return True, worst <= 0.0, worst
 
 
-def check_solution(basis, solution, q0, params, p0=None):
+def check_solution(basis, solution, q0, params):
     """Verdicts of the model's bounds on a solution at norm q0, by name.
 
     The shape is that of the `checks` object of bounds.json. A conditional
     check that does not apply passes: the amplitude ceiling applies where
     the decay envelope does, below decay_edge, and the norm threshold below
-    omega_sq_max.
+    omega_sq_max. The decay envelope starts at default_decay_p0.
     """
     bounds = theory_bounds(params)
     omega_sq = solution.omega_sq
-    p0 = default_decay_p0(params) if p0 is None else p0
+    p0 = default_decay_p0(params)
     applicable, ok, worst = check_decay_envelope(basis, solution.coeffs, omega_sq, params, p0)
     below_max = omega_sq < bounds.omega_sq_max
     return {

@@ -10,6 +10,7 @@ import pytest
 
 import qvortex
 from qvortex import ModelParams, SolveConfig, build_grid, fd_minimize
+import qvortex.cli
 from qvortex.cli import CONFIG_DEFAULTS, _oracle_agreement, main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
@@ -71,6 +72,12 @@ class TestSolveCommand:
         )
         assert rc == 1
         assert "converge" in capsys.readouterr().err
+
+    def test_unwritable_output_is_a_write_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run("solve", "--out", str(blocker / "x")) == 1
+        assert capsys.readouterr().err.startswith("error [write] ")
 
 
 class TestTable1Command:
@@ -186,12 +193,27 @@ class TestVerifyCommand:
         assert run("verify", "--out", str(tmp_path), "--set", "quad_panels=2") == 1
         assert "orthonormality: FAIL" in capsys.readouterr().out
 
-    def test_tightened_decay_radius_still_passes(self, tmp_path, capsys):
-        assert run("verify", "--out", str(tmp_path), "--decay-p0", "18.0") == 0
-        assert "decay: PASS" in capsys.readouterr().out
-
     def test_negative_winding_passes(self, tmp_path):
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
+
+    def test_oracle_cross_checks_the_configured_winding(self, tmp_path, monkeypatch):
+        # the oracle compares with the solve the bounds and decay lines judge
+        seen = {"fd": [], "spectral": []}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                params = next(a for a in args if isinstance(a, ModelParams))
+                seen[name].append(params.n)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(qvortex.cli, "fd_minimize",
+                            recording("fd", qvortex.cli.fd_minimize))
+        monkeypatch.setattr(qvortex.cli, "minimize_on_sphere",
+                            recording("spectral", qvortex.cli.minimize_on_sphere))
+        assert run("verify", "--out", str(tmp_path), "--n", "3") == 0
+        assert seen == {"fd": [3], "spectral": [3, 3]}
 
 
 class TestOracleCompareCommand:
@@ -232,6 +254,13 @@ class TestConfigResolution:
         assert run("solve", "--config", str(cfg), "--out", str(tmp_path)) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_malformed_file_value_names_its_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# winding\nn = 2.5\n")
+        assert run("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error [config]: {cfg}:2: n must be an integer, got '2.5'\n"
+
     def test_malformed_set_rejected(self, tmp_path, capsys):
         assert run("solve", "--set", "grad_tol", "--out", str(tmp_path)) == 2
         assert "key=value" in capsys.readouterr().err
@@ -247,13 +276,14 @@ class TestConfigResolution:
             "quad_order=0",
             "quad_panels=0",
             "basis_size=0",
+            "max_iter=1e3",
+            "n=abc",
         ],
     )
     def test_invalid_value_is_a_config_error(self, tmp_path, capsys, setting):
         assert run("solve", "--set", setting, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [config]: ")
-        assert setting.split("=")[0] in err
+        assert err.startswith(f"error [config]: {setting.split('=')[0]} ")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -265,7 +295,6 @@ class TestConfigResolution:
             ["dispersion", "--q0-max", "inf"],
             ["oracle-compare", "--q0", "-1"],
             ["oracle-compare", "--n-fd", "10"],
-            ["verify", "--decay-p0", "30"],
             ["verify", "--n", "11"],
         ],
     )
