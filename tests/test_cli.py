@@ -296,6 +296,7 @@ class TestConfigResolution:
             ["oracle-compare", "--q0", "-1"],
             ["oracle-compare", "--n-fd", "10"],
             ["verify", "--n", "11"],
+            ["verify", "--n", "-11"],
         ],
     )
     def test_invalid_flag_is_a_config_error(self, tmp_path, capsys, argv):
