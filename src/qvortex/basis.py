@@ -114,20 +114,24 @@ def build_basis(params, m, grid):
             "nodes per wavelength of the highest mode (need >= 6)"
         )
 
-    # One sine and one cosine table; the k and k^2 factors of the derivatives
-    # go onto the m x m factors, which keeps the m x nodes temporaries few.
+    # One sine and one cosine table (the cosines overwrite the arguments) and
+    # one weighted buffer reused for W, K_raw and C_raw; the k and k^2
+    # factors of the derivatives go onto the m x m factors, which keeps the
+    # m x nodes temporaries few.
     freq = np.arange(1, m + 1) * (np.pi / params.p)
     arg = freq[:, None] * grid.nodes[None, :]
     s = np.sin(arg)
-    c = np.cos(arg)
+    c = np.cos(arg, out=arg)
     w_rho = grid.weights * grid.nodes
-    w_gram = 4.0 * np.pi * (s * w_rho) @ s.T
+    weighted = np.multiply(s, w_rho)
+    weighted *= 4.0 * np.pi
+    w_gram = weighted @ s.T
 
     g = _inverse_cholesky(w_gram)
     resid = np.max(np.abs(g @ w_gram @ g.T - np.eye(m)))
 
-    k_raw = np.outer(freq, freq) * ((c * w_rho) @ c.T)
-    c_raw = (s * (grid.weights / grid.nodes)) @ s.T
+    k_raw = np.outer(freq, freq) * (np.multiply(c, w_rho, out=weighted) @ c.T)
+    c_raw = np.multiply(s, grid.weights / grid.nodes, out=weighted) @ s.T
     k_mat = g @ k_raw @ g.T
     c_mat = g @ c_raw @ g.T
     k_mat = 0.5 * (k_mat + k_mat.T)

@@ -328,14 +328,15 @@ def cmd_dispersion(cfg, params, solve, args):
 def _oracle_agreement(basis, sol, fd):
     """(|d omega_sq|, max profile difference on the oracle grid, agree).
 
-    The spectral and finite-difference solutions agree when the
-    finite-difference solve converged, |d omega_sq| < 0.01 and the profiles
-    differ by less than 0.02 * phi_max.
+    The spectral and finite-difference solutions agree when both solves
+    converged, |d omega_sq| < 0.01 and the profiles differ by less than
+    0.02 * phi_max.
     """
     d_omega = abs(fd.omega_sq - sol.omega_sq)
     phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
     d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
-    return d_omega, d_prof, fd.converged and d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
+    agree = sol.converged and fd.converged and d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
+    return d_omega, d_prof, agree
 
 
 def cmd_verify(cfg, params, solve, args):
@@ -374,7 +375,7 @@ def cmd_verify(cfg, params, solve, args):
     )
     report(
         "decay",
-        decay["applicable"] and decay["pass"],
+        sol.converged and decay["applicable"] and decay["pass"],
         f"p0 {decay['p0']}, worst excess {decay['worst_excess']:.3e}",
     )
 
@@ -382,8 +383,8 @@ def cmd_verify(cfg, params, solve, args):
     target = 2.0 * params.lam * params.b + (bessel_first_zero(abs(params.n)) / params.p) ** 2
     report(
         "linear_limit",
-        abs(lin.omega_sq - target) < 1e-3,
-        f"omega_sq {lin.omega_sq:.6f} vs {target:.6f}",
+        lin.converged and abs(lin.omega_sq - target) < 1e-3,
+        f"omega_sq {lin.omega_sq:.6f} vs {target:.6f}, converged {lin.converged}",
     )
 
     fd = fd_minimize(params, BENCHMARK_Q0, n_fd=2000)

@@ -234,10 +234,11 @@ def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
 
     Samples n_points random points on the sphere |a|^2 = q0. Components are
     compared relative to max(|g_i|, 1e-8 * max|g|) so near-zero entries do
-    not blow up the ratio. Each difference is taken as
-    delta(a, a + e) - delta(a, a - e) of the factored increments, not of two
-    absolute values of F, whose cancellation would swamp the comparison; the
-    m coordinate steps of a point go to delta as one stack of candidates.
+    not blow up the ratio. Each central difference is one factored increment
+    F(a + h*e_i) - F(a - h*e_i) = delta(a - h*e_i, a + h*e_i), not the
+    difference of two absolute values of F, whose cancellation would swamp
+    the comparison; the m coordinate pairs of a point go to delta as one
+    stack of starts and one stack of candidates.
     """
     rng = np.random.default_rng(seed)
     problem = _SphereProblem(basis, params)
@@ -246,12 +247,10 @@ def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
     for _ in range(n_points):
         v = rng.standard_normal(basis.m)
         a = math.sqrt(q0) * v / np.linalg.norm(v)
-        phi_a = problem.phi(a)
-        g = problem.gradient(a, phi_a)
+        g = problem.gradient(a)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-        plus = problem.delta(a, phi_a, a + steps)[0]
-        minus = problem.delta(a, phi_a, a - steps)[0]
-        fd = (plus - minus) / (2.0 * step)
+        lower = a - steps
+        fd = problem.delta(lower, problem.phi(lower), a + steps)[0] / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
 
@@ -297,9 +296,9 @@ class _SphereProblem:
     Near the minimizer the Armijo test must resolve decreases far below the
     roundoff of F itself, so the line search never compares two absolute
     values: delta() evaluates F(cand) - F(x) through factored increments
-    (the quadratic part via step.M.(x + step/2), the sextic and quartic
-    parts via the polynomial identities u^k - v^k = (u - v) * sum u^i v^j),
-    whose error scales with the step instead of with |F|.
+    (the quadratic part via step.M.(x + step/2), the sextic-quartic part as
+    one product with the factor phi(cand) - phi(x)), whose error scales with
+    the step instead of with |F|.
     """
 
     def __init__(self, basis, params):
@@ -331,23 +330,35 @@ class _SphereProblem:
         the eps-level radius drift of the retraction cannot pollute the
         comparison. The shift changes nothing on-constraint.
 
-        cand may also be a stack of candidates, one per row; the differences
+        cand may also be a stack of candidates, one per row, and x (with
+        phi_x) a stack of starts that broadcasts against it; the differences
         then come back as an array. For a single candidate the products
         round exactly like plain 1-D dot and matrix-vector products, so the
         stacked form leaves the line search's arithmetic unchanged.
+
+        With v = phi_x, dphi = step @ psi the exact image of the step and
+        u = v + dphi, the increment of P = phi^6 - a_pot*phi^4 is the
+        factored product P(u) - P(v) =
+        [(u + v)*dphi] * [u^2 (u^2 + v^2 - a_pot) + v^2 (v^2 - a_pot)],
+        formed in place: every term carries the factor dphi.
         """
         step = cand - x
         dphi = step @ self.psi
         phi_c = phi_x + dphi
         mid = x + 0.5 * step
         quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
-        u, v = phi_c, phi_x
-        u2, v2 = u * u, v * v
-        u3, v3 = u2 * u, v2 * v
-        s3 = u3 + u2 * v + u * v2 + v3
-        s5 = u2 * s3 + v2 * v2 * (u + v)
-        nl = self.lam * ((dphi * (s5 - self.a_pot * s3)) @ self.w_rho)
-        return quad + nl, phi_c
+        factor = phi_c + phi_x
+        factor *= dphi
+        u2 = np.multiply(phi_c, phi_c, out=dphi)
+        v2 = phi_x * phi_x
+        bracket = u2 + v2
+        bracket -= self.a_pot
+        bracket *= u2
+        v_term = np.subtract(v2, self.a_pot, out=u2)
+        v_term *= v2
+        bracket += v_term
+        factor *= bracket
+        return quad + self.lam * (factor @ self.w_rho), phi_c
 
     def reduced_hessian(self, x, phi_x, theta):
         """(H - theta*I, mu*x.x^T) at x, for the exact Hessian H of F.

@@ -189,6 +189,15 @@ class TestVerifyCommand:
                      "linear_limit", "oracle_cross"):
             assert f"{name}: PASS" in printed
 
+    def test_unconverged_solves_fail_their_lines(self, tmp_path, capsys):
+        # five steps leave both the Q0=100 and the Q0=0.01 solve short
+        assert run("verify", "--out", str(tmp_path), "--set", "max_iter=5") == 1
+        printed = capsys.readouterr().out
+        for name in ("bounds", "decay", "linear_limit", "oracle_cross"):
+            assert f"{name}: FAIL" in printed
+        (linear,) = [line for line in printed.splitlines() if line.startswith("linear_limit")]
+        assert linear.endswith(", converged False)")
+
     def test_coarse_grid_fails_orthonormality(self, tmp_path, capsys):
         assert run("verify", "--out", str(tmp_path), "--set", "quad_panels=2") == 1
         assert "orthonormality: FAIL" in capsys.readouterr().out
@@ -231,6 +240,11 @@ class TestOracleCompareCommand:
         fd = fd_minimize(params, 100.0, n_fd=2000)
         assert _oracle_agreement(basis, sol, fd)[2]
         assert not _oracle_agreement(basis, sol, replace(fd, converged=False))[2]
+
+    def test_unconverged_spectral_solve_does_not_agree(self, basis, params, solve):
+        sol = solve(100.0)
+        fd = fd_minimize(params, 100.0, n_fd=2000)
+        assert not _oracle_agreement(basis, replace(sol, converged=False), fd)[2]
 
 
 class TestConfigResolution:

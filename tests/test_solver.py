@@ -22,6 +22,7 @@ from qvortex import (
 from qvortex.model import decay_edge, potential_derivative
 from qvortex.solver import (
     _project_to_basis,
+    _rowdot,
     _SphereProblem,
     check_solution,
     gradient_fd_check,
@@ -47,6 +48,23 @@ def certify_minimum(basis, params, sol, q0):
     theta = float(x @ problem.gradient(x, phi)) / q0
     shifted, border = problem.reduced_hessian(x, phi, theta)
     np.linalg.cholesky(shifted + border)
+
+
+def expanded_delta(problem, x, phi_x, cand, theta=0.0):
+    """_SphereProblem.delta with the sextic-quartic increment as expanded sums.
+
+    u^k - v^k = (u - v) * sum u^i v^j for k = 4 and 6, the form the factored
+    product replaced; the quadratic part is delta's own.
+    """
+    step = cand - x
+    dphi = step @ problem.psi
+    mid = x + 0.5 * step
+    quad = _rowdot(step, (problem.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
+    u, v = phi_x + dphi, phi_x
+    u2, v2 = u * u, v * v
+    s3 = u2 * u + u2 * v + u * v2 + v2 * v
+    s5 = u2 * s3 + v2 * v2 * (u + v)
+    return quad + problem.lam * ((dphi * (s5 - problem.a_pot * s3)) @ problem.w_rho)
 
 
 def solve_with_run_lengths(basis, params, config):
@@ -188,6 +206,72 @@ class TestFunctionalGradient:
             np.testing.assert_allclose(
                 phi_c, phi_one, rtol=0, atol=1e-13 * np.abs(phi_one).max()
             )
+
+
+    @pytest.mark.parametrize("kind", ["coordinate", "random"])
+    def test_factored_difference_matches_the_expanded_sums(self, basis, params, kind):
+        problem = _SphereProblem(basis, params)
+        a = sphere_point(basis.m, 100.0, seed=5)
+        phi_a = problem.phi(a)
+        if kind == "coordinate":
+            steps = 1e-6 * np.eye(basis.m)
+        else:
+            steps = 0.1 * np.random.default_rng(6).standard_normal((8, basis.m))
+        cands = a + steps
+        stacked = problem.delta(a, phi_a, cands, theta=0.3)[0]
+        np.testing.assert_allclose(
+            stacked, expanded_delta(problem, a, phi_a, cands, theta=0.3), rtol=1e-12
+        )
+        for cand in cands:
+            one = problem.delta(a, phi_a, cand, theta=0.3)[0]
+            assert one == pytest.approx(expanded_delta(problem, a, phi_a, cand, 0.3), rel=1e-12)
+
+    def test_stacked_starts_match_one_start_at_a_time(self, basis, params):
+        problem = _SphereProblem(basis, params)
+        a = sphere_point(basis.m, 100.0, seed=7)
+        rng = np.random.default_rng(8)
+        starts = np.concatenate(
+            (a - 1e-6 * np.eye(basis.m), a + 0.1 * rng.standard_normal((5, basis.m)))
+        )
+        cands = np.concatenate(
+            (a + 1e-6 * np.eye(basis.m), a + 0.1 * rng.standard_normal((5, basis.m)))
+        )
+        stacked, phi_stacked = problem.delta(starts, problem.phi(starts), cands, theta=0.3)
+        for start, cand, df, phi_c in zip(starts, cands, stacked, phi_stacked):
+            one, phi_one = problem.delta(start, problem.phi(start), cand, theta=0.3)
+            assert df == pytest.approx(one, rel=1e-12)
+            np.testing.assert_allclose(
+                phi_c, phi_one, rtol=0, atol=1e-13 * np.abs(phi_one).max()
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fd_check_is_the_two_sided_difference(self, basis, params, seed):
+        # reference: F(a + h e_i) - F(a - h e_i) by the expanded sums, same points
+        problem = _SphereProblem(basis, params)
+        rng = np.random.default_rng(seed)
+        step, worst = 1e-6, 0.0
+        for _ in range(4):
+            v = rng.standard_normal(basis.m)
+            a = math.sqrt(100.0) * v / np.linalg.norm(v)
+            g = problem.gradient(a)
+            scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
+            lower, upper = a - step * np.eye(basis.m), a + step * np.eye(basis.m)
+            fd = expanded_delta(problem, lower, problem.phi(lower), upper) / (2.0 * step)
+            worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
+        checked = gradient_fd_check(basis, params, q0=100.0, n_points=4, seed=seed)
+        assert checked == pytest.approx(worst, rel=0, abs=1e-12)
+
+    def test_fd_check_takes_one_difference_call_per_point(self, basis, params, monkeypatch):
+        calls = []
+        delta = _SphereProblem.delta
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return delta(self, *args, **kwargs)
+
+        monkeypatch.setattr(_SphereProblem, "delta", counting)
+        gradient_fd_check(basis, params, q0=100.0, n_points=3, seed=0)
+        assert len(calls) == 3
 
 
 class TestMinimize:
