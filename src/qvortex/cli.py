@@ -360,7 +360,7 @@ def cmd_verify(cfg, params, solve, args):
             report(name, False, "skipped: basis unavailable")
         return 1
 
-    err = gradient_fd_check(basis, params, q0=BENCHMARK_Q0, n_points=10, seed=solve.rng_seed)
+    err = gradient_fd_check(basis, params, q0=BENCHMARK_Q0, seed=solve.rng_seed)
     report("gradient_fd", err < 1e-4, f"max relative error {err:.3e}")
 
     sol = minimize_on_sphere(basis, params, replace(solve, q0=BENCHMARK_Q0))

@@ -40,7 +40,6 @@ __all__ = [
     "theory_bounds",
     "decay_edge",
     "decay_rate",
-    "default_decay_p0",
     "p_star_bound",
 ]
 
@@ -92,8 +91,8 @@ class TheoryBounds:
     phi_max_ceiling    : uniform amplitude ceiling sqrt(2*a_pot/3)
     q0_threshold       : prescribed-norm threshold pi*|n|/(a_pot*lam)
     p_star             : sufficient disk radius from the trapezoid trial profile,
-                         evaluated at p_star_omega_sq (midpoint of the window
-                         unless a frequency was supplied to theory_bounds)
+                         evaluated at p_star_omega_sq, the midpoint of the
+                         window (p_star_bound takes any other frequency)
     """
 
     omega_sq_min: float
@@ -124,11 +123,6 @@ def decay_edge(params):
     """2*lam*b + n^2/p^2: below it the tail decays exponentially and the
     amplitude ceiling holds; at or above it neither estimate applies."""
     return 2.0 * params.lam * params.b + params.n**2 / params.p**2
-
-
-def default_decay_p0(params):
-    """Inner radius of the decay-envelope check unless one is given: 0.75*p."""
-    return 0.75 * params.p
 
 
 def decay_rate(omega_sq, params):
@@ -180,18 +174,18 @@ def p_star_bound(params, omega_sq):
     return (coef_b + coef_c) / coef_a
 
 
-def theory_bounds(params, omega_sq=None):
+def theory_bounds(params):
     """Compute all closed-form bounds for a parameter set.
 
     p_star depends on a frequency; by convention it is evaluated at the
-    midpoint of the existence window unless omega_sq is supplied.
+    midpoint of the existence window. p_star_bound evaluates it at any
+    other frequency.
     """
     lam, a, b = params.lam, params.a_pot, params.b
     omega_sq_min = 2.0 * lam * (b - a * a / 4.0)
     omega_sq_max = 2.0 * lam * b
     omega_sq_necessary = 2.0 * lam * (b - a * a / 3.0) + params.n**2 / params.p**2
-    if omega_sq is None:
-        omega_sq = 0.5 * (omega_sq_min + omega_sq_max)
+    omega_sq = 0.5 * (omega_sq_min + omega_sq_max)
     return TheoryBounds(
         omega_sq_min=omega_sq_min,
         omega_sq_max=omega_sq_max,
@@ -199,6 +193,6 @@ def theory_bounds(params, omega_sq=None):
         phi_max_ceiling=math.sqrt(2.0 * a / 3.0),
         q0_threshold=math.pi * abs(params.n) / (a * lam),
         p_star=p_star_bound(params, omega_sq),
-        p_star_omega_sq=float(omega_sq),
+        p_star_omega_sq=omega_sq,
     )
 

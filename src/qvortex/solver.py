@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import evaluate
-from .model import decay_edge, decay_rate, default_decay_p0, potential_derivative, theory_bounds
+from .model import decay_edge, decay_rate, potential_derivative, theory_bounds
 from .validation import check_coeffs, check_positive, check_positive_int, readonly
 
 __all__ = [
@@ -76,6 +76,10 @@ PROFILE_POINTS = 2001
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _ETA_MIN = 1e-18
+
+_DECAY_P0_FRACTION = 0.75  # inner radius of the decay envelope, over p
+_FD_POINTS = 10  # random points of the gradient check
+_FD_STEP = 1e-6  # its coordinate step h
 
 
 @dataclass(frozen=True)
@@ -179,18 +183,15 @@ def dense_profile(basis, coeffs):
     return rho, evaluate(basis, coeffs, rho)
 
 
-def check_decay_envelope(basis, coeffs, omega_sq, params, p0=None):
+def check_decay_envelope(basis, coeffs, omega_sq, params):
     """Exponential tail check phi^2 <= (2*a_pot/3)*exp(-sigma*(rho - p0)).
 
-    Returns (applicable, ok, worst_excess): applicable is False when
-    omega_sq is not below decay_edge, where no decay rate exists;
-    worst_excess is max(phi^2 - bound) over output-grid points in [p0, p].
-    p0 defaults to default_decay_p0.
+    The inner radius is p0 = 0.75*p. Returns (applicable, ok,
+    worst_excess): applicable is False when omega_sq is not below
+    decay_edge, where no decay rate exists; worst_excess is
+    max(phi^2 - bound) over output-grid points in [p0, p].
     """
-    if p0 is None:
-        p0 = default_decay_p0(params)
-    if not 0.0 < p0 < params.p:
-        raise ValueError(f"p0 must lie in (0, {params.p}), got {p0}")
+    p0 = _DECAY_P0_FRACTION * params.p
     if omega_sq >= decay_edge(params):
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
@@ -208,12 +209,12 @@ def check_solution(basis, solution, q0, params):
     The shape is that of the `checks` object of bounds.json. A conditional
     check that does not apply passes: the amplitude ceiling applies where
     the decay envelope does, below decay_edge, and the norm threshold below
-    omega_sq_max. The decay envelope starts at default_decay_p0.
+    omega_sq_max. The decay envelope starts at p0 = 0.75*p, which the
+    decay_envelope entry reports.
     """
     bounds = theory_bounds(params)
     omega_sq = solution.omega_sq
-    p0 = default_decay_p0(params)
-    applicable, ok, worst = check_decay_envelope(basis, solution.coeffs, omega_sq, params, p0)
+    applicable, ok, worst = check_decay_envelope(basis, solution.coeffs, omega_sq, params)
     below_max = omega_sq < bounds.omega_sq_max
     return {
         "necessary_condition": {"pass": omega_sq > bounds.omega_sq_necessary},
@@ -225,32 +226,37 @@ def check_solution(basis, solution, q0, params):
             "applicable": below_max,
             "pass": not below_max or q0 > bounds.q0_threshold,
         },
-        "decay_envelope": {"applicable": applicable, "pass": ok, "worst_excess": worst, "p0": p0},
+        "decay_envelope": {"applicable": applicable, "pass": ok, "worst_excess": worst,
+                           "p0": _DECAY_P0_FRACTION * params.p},
     }
 
 
-def gradient_fd_check(basis, params, q0, n_points=10, seed=0, step=1e-6):
+def gradient_fd_check(basis, params, q0, seed=0):
     """Worst componentwise relative error of the gradient vs central differences.
 
-    Samples n_points random points on the sphere |a|^2 = q0. Components are
+    Samples 10 random points on the sphere |a|^2 = q0, seeded by seed, and
+    steps each coordinate by h = 1e-6 either way. Components are
     compared relative to max(|g_i|, 1e-8 * max|g|) so near-zero entries do
     not blow up the ratio. Each central difference is one factored increment
     F(a + h*e_i) - F(a - h*e_i) = delta(a - h*e_i, a + h*e_i), not the
     difference of two absolute values of F, whose cancellation would swamp
     the comparison; the m coordinate pairs of a point go to delta as one
-    stack of starts and one stack of candidates.
+    stack of starts and one stack of candidates. Each is divided by its
+    width as rounded, (a + h*e_i)_i - (a - h*e_i)_i: 2h would floor the
+    error at about 1e-10.
     """
     rng = np.random.default_rng(seed)
     problem = _SphereProblem(basis, params)
-    steps = step * np.eye(basis.m)
+    steps = _FD_STEP * np.eye(basis.m)
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(_FD_POINTS):
         v = rng.standard_normal(basis.m)
         a = math.sqrt(q0) * v / np.linalg.norm(v)
         g = problem.gradient(a)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-        lower = a - steps
-        fd = problem.delta(lower, problem.phi(lower), a + steps)[0] / (2.0 * step)
+        lower, upper = a - steps, a + steps
+        width = np.diagonal(upper) - np.diagonal(lower)
+        fd = problem.delta(lower, problem.phi(lower), upper)[0] / width
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
 
@@ -273,10 +279,9 @@ def _initial_coeffs(basis, params, config):
         )
     else:
         a = check_coeffs("start_coeffs", np.asarray(config.start_coeffs), basis.m)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    if np.linalg.norm(a) == 0.0:
         raise ValueError("the start projects to the zero vector")
-    return a * (math.sqrt(config.q0) / norm)
+    return a
 
 
 def _rowdot(u, v):
@@ -449,7 +454,7 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
         f_led += df
         g = problem.gradient(x, phi_x)
         iterations += 1
-    return x, f_led, gt_norm, iterations, converged
+    return x, gt_norm, iterations, converged
 
 
 def _lower(problem, cand, x, q0):
@@ -470,9 +475,10 @@ def minimize_on_sphere(basis, params, config, callback=None):
     (none by default) from the kept minimizer perturbed by 1% relative
     noise seeded by rng_seed, and keeps the lowest final F. omega_sq is the
     constraint's multiplier, 4*pi*(a.grad F(a))/q0 + 2*lam*b at the kept
-    minimizer. The callback, when given, receives (iteration, coeffs, f,
-    tangent_grad_norm) after every accepted step of every run, all taken at
-    the new iterate.
+    minimizer, and f_value is F there. The callback, when given, receives
+    (iteration, coeffs, f, tangent_grad_norm) after every accepted step of
+    every run, all taken at the new iterate; f is F less its constant, summed
+    from the accepted line-search increments, so it falls monotonically.
     """
     if basis.p != params.p:
         raise ValueError(f"basis built for p={basis.p}, params have p={params.p}")
@@ -496,11 +502,11 @@ def minimize_on_sphere(basis, params, config, callback=None):
             config.max_iter,
             callback,
         )
-        total_iterations += result[3]
+        total_iterations += result[2]
         if best is None or _lower(problem, result[0], best[0], config.q0):
             best = result
 
-    coeffs, f_val, gt_norm, _, converged = best
+    coeffs, gt_norm, _, converged = best
     rho_dense, phi_dense = dense_profile(basis, coeffs)
     peak = int(np.argmax(np.abs(phi_dense)))
     if phi_dense[peak] < 0.0:
@@ -515,6 +521,6 @@ def minimize_on_sphere(basis, params, config, callback=None):
         phi_max=float(np.max(np.abs(phi_dense))),
         iterations=total_iterations,
         converged=bool(converged),
-        f_value=float(f_val + params.lam * params.b * config.q0 / (4.0 * math.pi)),
+        f_value=problem.value(coeffs) + params.lam * params.b * config.q0 / (4.0 * math.pi),
         grad_norm=float(gt_norm),
     )

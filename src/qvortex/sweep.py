@@ -11,7 +11,6 @@ of the centrifugal matrix changes between rows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from .solver import minimize_on_sphere
@@ -31,16 +30,11 @@ def sweep_q0(params, basis, q0_list, config):
     if any(b <= a for a, b in zip(q0_list, q0_list[1:])):
         raise ValueError(f"q0_list must be strictly ascending, got {q0_list}")
     solutions = []
-    warm = None
     for q0 in q0_list:
-        cfg = replace(config, q0=q0)
-        if warm is not None:
-            coeffs, warm_q0 = warm
-            cfg = replace(cfg, start_coeffs=tuple(coeffs * math.sqrt(q0 / warm_q0)))
-        sol = minimize_on_sphere(basis, params, cfg)
+        sol = minimize_on_sphere(basis, params, replace(config, q0=q0))
         solutions.append(sol)
         if sol.converged:
-            warm = (sol.coeffs, q0)
+            config = replace(config, start_coeffs=tuple(sol.coeffs))
     return solutions
 
 

@@ -114,9 +114,7 @@ def test_criterion_06_norm_threshold(table1, table2):
 
 def test_criterion_07_decay_envelope(basis, params, table1):
     sol = dict(table1[0])[100.0]
-    applicable, ok, worst = check_decay_envelope(
-        basis, sol.coeffs, sol.omega_sq, params, p0=15.0
-    )
+    applicable, ok, worst = check_decay_envelope(basis, sol.coeffs, sol.omega_sq, params)
     check(7, "decay envelope", applicable and ok, f"worst excess {worst:.3e}")
 
 
@@ -152,7 +150,7 @@ def test_criterion_09_oracle_equivalence(basis, params, solve):
 
 
 def test_criterion_10_numerical_hygiene(basis, params, grid, solve):
-    fd_err = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
+    fd_err = gradient_fd_check(basis, params, q0=100.0, seed=0)
     ortho = basis.orthonormality_residual
     drifts = []
     minimize_on_sphere(

@@ -198,6 +198,13 @@ class TestVerifyCommand:
         (linear,) = [line for line in printed.splitlines() if line.startswith("linear_limit")]
         assert linear.endswith(", converged False)")
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_check_is_below_the_step_rounding(self, tmp_path, capsys, seed):
+        # dividing by 2h instead of each difference's width reads 1.398e-10 at seed 0
+        run("verify", "--out", str(tmp_path), "--seed", str(seed))
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("gradient_fd")]
+        assert float(line.rsplit(" ", 1)[1].rstrip(")")) < 1e-11
+
     def test_coarse_grid_fails_orthonormality(self, tmp_path, capsys):
         assert run("verify", "--out", str(tmp_path), "--set", "quad_panels=2") == 1
         assert "orthonormality: FAIL" in capsys.readouterr().out

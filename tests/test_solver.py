@@ -107,13 +107,14 @@ class TestDiscreteFunctional:
     4*pi*(a.grad F(a))/q0 + 2*lam*b at the solution.
     """
 
-    def test_zero_coefficients_leave_only_the_constant(self, basis, params, solve):
-        problem = _SphereProblem(basis, params)
-        assert problem.value(np.zeros(basis.m)) == 0.0
-        # the reported functional value adds the constant back
-        sol = solve(100.0)
+    def test_zero_coefficients_leave_only_the_constant(self, basis, params, table2):
+        assert _SphereProblem(basis, params).value(np.zeros(basis.m)) == 0.0
+        # the reported functional value is F at the returned coefficients:
+        # value() with the constant added back
         const = params.lam * params.b * 100.0 / (4.0 * math.pi)
-        assert sol.f_value == pytest.approx(problem.value(sol.coeffs) + const, rel=1e-12)
+        for n, sol in table2:
+            problem = _SphereProblem(basis, replace(params, n=n))
+            assert sol.f_value == problem.value(sol.coeffs) + const, n
 
     def test_small_norm_single_mode_leading_order(self, basis, params):
         q0 = 1e-6
@@ -180,14 +181,14 @@ class TestFunctionalGradient:
         assert d_nl == pytest.approx(2.0 * step @ g_nl, rel=1e-7)
 
     def test_matches_finite_differences_on_sphere(self, basis, params):
-        worst = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
+        worst = gradient_fd_check(basis, params, q0=100.0, seed=0)
         assert worst < 1e-4
 
     def test_finite_differences_free_of_cancellation(self):
         # differencing two absolute values of F gives 2.0e-4 at this point
         params = ModelParams(n=3, p=24.0)
         basis = build_basis(params, 60, build_grid(24.0, panels=48, order_per_panel=8))
-        worst = gradient_fd_check(basis, params, q0=100.0, n_points=10, seed=0)
+        worst = gradient_fd_check(basis, params, q0=100.0, seed=0)
         assert worst < 1e-4
 
     def test_stacked_differences_match_one_candidate_at_a_time(self, basis, params):
@@ -246,19 +247,21 @@ class TestFunctionalGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fd_check_is_the_two_sided_difference(self, basis, params, seed):
-        # reference: F(a + h e_i) - F(a - h e_i) by the expanded sums, same points
+        # reference: F(a + h e_i) - F(a - h e_i) by the expanded sums over the
+        # width (a + h e_i)_i - (a - h e_i)_i, same points
         problem = _SphereProblem(basis, params)
         rng = np.random.default_rng(seed)
         step, worst = 1e-6, 0.0
-        for _ in range(4):
+        for _ in range(10):
             v = rng.standard_normal(basis.m)
             a = math.sqrt(100.0) * v / np.linalg.norm(v)
             g = problem.gradient(a)
             scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
             lower, upper = a - step * np.eye(basis.m), a + step * np.eye(basis.m)
-            fd = expanded_delta(problem, lower, problem.phi(lower), upper) / (2.0 * step)
+            width = np.diagonal(upper) - np.diagonal(lower)
+            fd = expanded_delta(problem, lower, problem.phi(lower), upper) / width
             worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
-        checked = gradient_fd_check(basis, params, q0=100.0, n_points=4, seed=seed)
+        checked = gradient_fd_check(basis, params, q0=100.0, seed=seed)
         assert checked == pytest.approx(worst, rel=0, abs=1e-12)
 
     def test_fd_check_takes_one_difference_call_per_point(self, basis, params, monkeypatch):
@@ -270,8 +273,8 @@ class TestFunctionalGradient:
             return delta(self, *args, **kwargs)
 
         monkeypatch.setattr(_SphereProblem, "delta", counting)
-        gradient_fd_check(basis, params, q0=100.0, n_points=3, seed=0)
-        assert len(calls) == 3
+        gradient_fd_check(basis, params, q0=100.0, seed=0)
+        assert len(calls) == 10
 
 
 class TestMinimize:
@@ -542,13 +545,6 @@ class TestModelBoundsOnSolutions:
             basis, sol.coeffs, sol.omega_sq, params
         )
         assert applicable and ok, f"worst excess {worst}"
-
-    def test_decay_envelope_tightened_inner_radius(self, basis, params, solve):
-        sol = solve(100.0)
-        applicable, ok, _ = check_decay_envelope(
-            basis, sol.coeffs, sol.omega_sq, params, p0=0.9 * params.p
-        )
-        assert applicable and ok
 
     def test_decay_envelope_higher_winding(self, basis, params, solve):
         sol = solve(100.0, n=2)
