@@ -16,14 +16,17 @@ derivatives of any expansion are available analytically through the
 sine/cosine series rather than by numerical differentiation.
 
 Off the quadrature grid an expansion is summed as the sine series
-sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G, by Clenshaw's
-recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series is
-sin(x)*b_1, and the cosine series of the derivative is cos(x)*b_1 - b_2
-(Press et al., Numerical Recipes, 3rd ed., Sec. 5.4). That takes one sine
-and one cosine per point instead of an m-column table of each. Its
-rounding error grows with m toward rho = 0 and rho = p, where cos(x) is
-near +-1. Relative to sum_k |c_k|*(k*pi/p)^j for derivative j it reached
-8.3e-13 over 40 random expansions at m = 180, and about 1e-15 on
+sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G. On a uniform grid
+rho_i = i*p/J (the solver's output profile) that sum is a type-I discrete
+sine transform, so evaluate_uniform takes all J + 1 values from one real
+FFT of length 2J. At arbitrary radii evaluate and evaluate_derivatives use
+Clenshaw's recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series
+is sin(x)*b_1, and the cosine series of the derivative is
+cos(x)*b_1 - b_2 (Press et al., Numerical Recipes, 3rd ed., Sec. 5.4).
+That takes one sine and one cosine per point instead of an m-column table
+of each. Its rounding error grows with m toward rho = 0 and rho = p, where
+cos(x) is near +-1. Relative to sum_k |c_k|*(k*pi/p)^j for derivative j it
+reached 8.3e-13 over 40 random expansions at m = 180, and about 1e-15 on
 converged profiles.
 
 Two Galerkin matrices are precomputed on the shared quadrature grid:
@@ -32,7 +35,11 @@ Two Galerkin matrices are precomputed on the shared quadrature grid:
     C[i,j] = int psi_i * psi_j / rho drho        (centrifugal, n-independent)
 
 All inner products use the grid, including C, which has no elementary
-closed form.
+closed form. The basis also keeps the cosine table cos(l*x) at the nodes
+for l = 0..2m, (2m + 1) x N doubles (372 KB at m = 60, 5.9 MB at m = 240):
+by sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2, any weighted
+product of two sine modes is a difference of two of its moments, which is
+how the solver assembles its Hessian.
 """
 
 from __future__ import annotations
@@ -42,9 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureGrid
-from .validation import check_coeffs, check_positive_int, readonly
+from .validation import check_coeffs, check_positive_int, freeze
 
-__all__ = ["SpectralBasis", "build_basis", "evaluate", "evaluate_derivatives"]
+__all__ = [
+    "SpectralBasis",
+    "build_basis",
+    "evaluate",
+    "evaluate_derivatives",
+    "evaluate_uniform",
+]
 
 _PIVOT_TOL = 1e-12
 _TOO_COARSE = "quadrature grid too coarse to keep the sine modes independent"
@@ -60,6 +73,8 @@ class SpectralBasis:
     psi_nodes / dpsi_nodes / d2psi_nodes sample psi_j and its first two
     derivatives at the quadrature nodes (row j = function j); they are
     derived from gs_matrix and stored for fast functional evaluation.
+    cos_nodes[l] = cos(l*pi*rho/p) at the nodes, l = 0..2m, the moments of
+    which give every weighted product of two sine modes.
     """
 
     m: int
@@ -71,6 +86,7 @@ class SpectralBasis:
     psi_nodes: np.ndarray
     dpsi_nodes: np.ndarray
     d2psi_nodes: np.ndarray
+    cos_nodes: np.ndarray
     orthonormality_residual: float
 
 
@@ -114,14 +130,19 @@ def build_basis(params, m, grid):
             "nodes per wavelength of the highest mode (need >= 6)"
         )
 
-    # One sine and one cosine table (the cosines overwrite the arguments) and
+    # One sine table, the cosine table (rows 1..m overwrite the arguments,
+    # rows m+k follow from cos((m+k)x) = 2cos(mx)cos(kx) - cos((m-k)x)) and
     # one weighted buffer reused for W, K_raw and C_raw; the k and k^2
     # factors of the derivatives go onto the m x m factors, which keeps the
     # m x nodes temporaries few.
     freq = np.arange(1, m + 1) * (np.pi / params.p)
-    arg = freq[:, None] * grid.nodes[None, :]
+    cos_table = np.empty((2 * m + 1, grid.nodes.size))
+    arg = np.multiply(freq[:, None], grid.nodes[None, :], out=cos_table[1 : m + 1])
     s = np.sin(arg)
     c = np.cos(arg, out=arg)
+    cos_table[0] = 1.0
+    np.multiply(2.0 * c[-1], c, out=cos_table[m + 1 :])
+    cos_table[m + 1 :] -= cos_table[m - 1 :: -1]
     w_rho = grid.weights * grid.nodes
     weighted = np.multiply(s, w_rho)
     weighted *= 4.0 * np.pi
@@ -139,14 +160,15 @@ def build_basis(params, m, grid):
 
     return SpectralBasis(
         m=m,
-        gs_matrix=readonly(g),
-        k_matrix=readonly(k_mat),
-        c_matrix=readonly(c_mat),
+        gs_matrix=freeze(g),
+        k_matrix=freeze(k_mat),
+        c_matrix=freeze(c_mat),
         grid=grid,
         p=params.p,
-        psi_nodes=readonly(g @ s),
-        dpsi_nodes=readonly((g * freq) @ c),
-        d2psi_nodes=readonly((g * -(freq**2)) @ s),
+        psi_nodes=freeze(g @ s),
+        dpsi_nodes=freeze((g * freq) @ c),
+        d2psi_nodes=freeze((g * -(freq**2)) @ s),
+        cos_nodes=freeze(cos_table),
         orthonormality_residual=float(resid),
     )
 
@@ -192,6 +214,26 @@ def evaluate(basis, coeffs, rho):
     values = np.sin(x) * b1
     values[(rho_arr == 0.0) | (rho_arr == basis.p)] = 0.0
     return values if np.ndim(rho) else float(values[0])
+
+
+def evaluate_uniform(basis, coeffs, intervals):
+    """Profile phi at the intervals + 1 radii rho_i = i*p/intervals, by one FFT.
+
+    At x_i = pi*i/intervals the sine series sum_k c_k sin(k*x_i) is minus
+    the imaginary part of the real FFT, of length 2*intervals, of the
+    coefficients placed at indices 1..m (a type-I discrete sine transform).
+    Modes k >= 2*intervals alias onto k mod 2*intervals and are folded there
+    first. Both ends are exactly 0.
+    """
+    intervals = check_positive_int("intervals", intervals)
+    length = 2 * intervals
+    padded = np.zeros(-(-(basis.m + 1) // length) * length)
+    padded[1 : basis.m + 1] = _sine_coeffs(basis, coeffs)
+    if padded.size > length:
+        padded = padded.reshape(-1, length).sum(axis=0)
+    values = -np.fft.rfft(padded).imag
+    values[0] = values[-1] = 0.0
+    return values
 
 
 def evaluate_derivatives(basis, coeffs, rho):

@@ -15,9 +15,15 @@ an Armijo line-search safeguard. Each step solves the bordered system
     [[H - theta*I, a], [a^T, 0]] [d; nu] = [grad_t F; 0],
 
 with H the exact Hessian of F and theta = a.grad F / Q0 the current
-multiplier estimate, for a tangent direction d. The block H - theta*I,
-shifted by a multiple of a.a^T that leaves it unchanged on the tangent
-space, is factored by Cholesky. When that fails the reduced Hessian is not
+multiplier estimate, for a tangent direction d. The nonlinear part of H,
+psi.diag(c).psi^T for nodal curvature weights c, is summed by the
+product-to-sum identity sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2
+from the 2m + 1 cosine moments of c over the basis' cosine table
+((2m + 1) x N doubles, 372 KB at m = 60), so a step costs one
+(2m + 1) x N matrix-vector product and two m x m x m products instead of
+an m x N x m product. The block H - theta*I, shifted by a multiple of
+a.a^T that leaves it unchanged on the tangent space, is factored by
+Cholesky. When that fails the reduced Hessian is not
 positive definite (Newton could head for a saddle, such as an excited
 state), and the step is the eigen-modified Newton step instead: the reduced
 Hessian's eigenvalues are replaced by their absolute values, which keeps
@@ -45,16 +51,20 @@ evaluated with analytic derivatives on the shared quadrature grid. For
 modes vanish only linearly there; the grid has no node at rho = 0 and the
 reported RE is understood as this grid-discretized value. The first panel's
 contribution can be split out to expose that origin sensitivity.
+
+The output profile on PROFILE_POINTS uniform radii comes from one real FFT
+(basis.evaluate_uniform); phi_max and the decay check both read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .basis import evaluate
+from .basis import evaluate_uniform
 from .model import decay_edge, decay_rate, potential_derivative, theory_bounds
 from .validation import check_coeffs, check_positive, check_positive_int, readonly
 
@@ -80,6 +90,7 @@ _ETA_MIN = 1e-18
 _DECAY_P0_FRACTION = 0.75  # inner radius of the decay envelope, over p
 _FD_POINTS = 10  # random points of the gradient check
 _FD_STEP = 1e-6  # its coordinate step h
+_DELTA_WORK_ARRAYS = 5  # m x N arrays _SphereProblem.delta can take as work
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,7 @@ def residual_error_split(coeffs, omega_sq, basis, params):
 def dense_profile(basis, coeffs):
     """Uniform output grid on [0, p] and the profile sampled on it."""
     rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
-    return rho, evaluate(basis, coeffs, rho)
+    return rho, evaluate_uniform(basis, coeffs, PROFILE_POINTS - 1)
 
 
 def check_decay_envelope(basis, coeffs, omega_sq, params):
@@ -189,16 +200,16 @@ def check_decay_envelope(basis, coeffs, omega_sq, params):
     The inner radius is p0 = 0.75*p. Returns (applicable, ok,
     worst_excess): applicable is False when omega_sq is not below
     decay_edge, where no decay rate exists; worst_excess is
-    max(phi^2 - bound) over output-grid points in [p0, p].
+    max(phi^2 - bound) over the dense_profile points in [p0, p].
     """
     p0 = _DECAY_P0_FRACTION * params.p
     if omega_sq >= decay_edge(params):
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
-    rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
-    rho = rho[rho >= p0]
-    bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho - p0))
-    excess = evaluate(basis, coeffs, rho) ** 2 - bound
+    rho, phi = dense_profile(basis, coeffs)
+    tail = rho >= p0
+    bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho[tail] - p0))
+    excess = phi[tail] ** 2 - bound
     worst = float(np.max(excess))
     return True, worst <= 0.0, worst
 
@@ -243,11 +254,13 @@ def gradient_fd_check(basis, params, q0, seed=0):
     the comparison; the m coordinate pairs of a point go to delta as one
     stack of starts and one stack of candidates. Each is divided by its
     width as rounded, (a + h*e_i)_i - (a - h*e_i)_i: 2h would floor the
-    error at about 1e-10.
+    error at about 1e-10. The m x N arrays of every point (phi at the
+    lower points and delta's work arrays) are allocated once and reused.
     """
     rng = np.random.default_rng(seed)
     problem = _SphereProblem(basis, params)
     steps = _FD_STEP * np.eye(basis.m)
+    phi_lower, *work = np.empty((1 + _DELTA_WORK_ARRAYS, basis.m, problem.psi.shape[1]))
     worst = 0.0
     for _ in range(_FD_POINTS):
         v = rng.standard_normal(basis.m)
@@ -256,7 +269,8 @@ def gradient_fd_check(basis, params, q0, seed=0):
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
         lower, upper = a - steps, a + steps
         width = np.diagonal(upper) - np.diagonal(lower)
-        fd = problem.delta(lower, problem.phi(lower), upper)[0] / width
+        np.matmul(lower, problem.psi, out=phi_lower)
+        fd = problem.delta(lower, phi_lower, upper, work=work)[0] / width
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
 
@@ -284,6 +298,20 @@ def _initial_coeffs(basis, params, config):
     return a
 
 
+@lru_cache(maxsize=8)
+def _product_indices(m):
+    """Indices |j - k| and j + k of the m x m sine-mode products, modes from 1.
+
+    The Hessian gathers its nonlinear part from the cosine moments with
+    them; they depend on m alone, so they are built once per basis size.
+    """
+    j = np.arange(1, m + 1)
+    diff, total = np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :]
+    diff.setflags(write=False)
+    total.setflags(write=False)
+    return diff, total
+
+
 def _rowdot(u, v):
     """u.v over the last axis, each row with the arithmetic of a 1-D dot."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -309,6 +337,9 @@ class _SphereProblem:
     def __init__(self, basis, params):
         self.mat = basis.k_matrix + params.n**2 * basis.c_matrix
         self.psi = basis.psi_nodes
+        self.gs = basis.gs_matrix
+        self.cos_nodes = basis.cos_nodes
+        self.diff, self.total = _product_indices(basis.m)
         self.w_rho = basis.grid.weights * basis.grid.nodes
         self.lam = params.lam
         self.a_pot = params.a_pot
@@ -326,7 +357,7 @@ class _SphereProblem:
         nl = self.psi @ (self.w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * self.a_pot)))
         return self.mat @ a + self.lam * nl
 
-    def delta(self, x, phi_x, cand, theta=0.0):
+    def delta(self, x, phi_x, cand, theta=0.0, work=None):
         """(F(cand) - F(x), phi(cand)) without cancellation in F.
 
         theta is the current Lagrange-multiplier estimate (x.g)/q0; the
@@ -346,17 +377,23 @@ class _SphereProblem:
         factored product P(u) - P(v) =
         [(u + v)*dphi] * [u^2 (u^2 + v^2 - a_pot) + v^2 (v^2 - a_pot)],
         formed in place: every term carries the factor dphi.
+
+        work, when given, holds _DELTA_WORK_ARRAYS arrays shaped like phi(cand)
+        that take dphi, phi(cand), the factor, v^2 and the bracket in place
+        of fresh ones; phi(cand) is then returned in work[1]. The arithmetic
+        is the same either way.
         """
+        dphi, phi_c, factor, v2, bracket = work or (None,) * _DELTA_WORK_ARRAYS
         step = cand - x
-        dphi = step @ self.psi
-        phi_c = phi_x + dphi
+        dphi = np.matmul(step, self.psi, out=dphi)
+        phi_c = np.add(phi_x, dphi, out=phi_c)
         mid = x + 0.5 * step
         quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
-        factor = phi_c + phi_x
+        factor = np.add(phi_c, phi_x, out=factor)
         factor *= dphi
         u2 = np.multiply(phi_c, phi_c, out=dphi)
-        v2 = phi_x * phi_x
-        bracket = u2 + v2
+        v2 = np.multiply(phi_x, phi_x, out=v2)
+        bracket = np.add(u2, v2, out=bracket)
         bracket -= self.a_pot
         bracket *= u2
         v_term = np.subtract(v2, self.a_pot, out=u2)
@@ -364,6 +401,34 @@ class _SphereProblem:
         bracket += v_term
         factor *= bracket
         return quad + self.lam * (factor @ self.w_rho), phi_c
+
+    def hessian(self, a, phi=None):
+        """Exact Hessian H = K + n^2 C + G.B.G^T of F at a.
+
+        The nonlinear part is psi.diag(c).psi^T with the nodal curvature
+        weights c = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) and psi = G.S, S
+        the raw sine modes at the nodes. By sin(j*x)*sin(k*x) =
+        [cos((j-k)*x) - cos((j+k)*x)]/2, B = S.diag(c).S^T is
+        (M_|j-k| - M_j+k)/2, a Toeplitz minus a Hankel matrix of the cosine
+        moments M_l = sum_i c_i*cos(l*x_i), l = 0..2m (Olver & Townsend,
+        SIAM Rev. 55 (2013) 462). That is one (2m + 1) x N matrix-vector
+        product and a gather, and G.B.G^T two m x m x m products, in place
+        of an m x N x m product.
+
+        A basis of modes (rho/p)*sin(k*x) keeps this form, with the moments
+        taken of c*rho^2/p^2; a mode outside the sine family, such as a
+        corner mode chi, adds one row and column, psi.(c*chi), by a direct
+        O(m*N) product.
+        """
+        if phi is None:
+            phi = self.phi(a)
+        ph2 = phi * phi
+        curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
+        moments = self.cos_nodes @ curv
+        moments *= 0.5
+        products = moments[self.diff]
+        products -= moments[self.total]
+        return self.mat + self.gs @ products @ self.gs.T
 
     def reduced_hessian(self, x, phi_x, theta):
         """(H - theta*I, mu*x.x^T) at x, for the exact Hessian H of F.
@@ -374,9 +439,7 @@ class _SphereProblem:
         strict local minimum (Morse index 0). mu, the largest absolute row
         sum of H - theta*I over |x|^2, lifts the sum along x.
         """
-        ph2 = phi_x * phi_x
-        curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
-        shifted = self.mat + (self.psi * curv) @ self.psi.T
+        shifted = self.hessian(x, phi_x)
         shifted.flat[:: len(x) + 1] -= theta
         mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / float(np.dot(x, x))
         return shifted, mu * np.outer(x, x)
@@ -421,7 +484,7 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
     radius = math.sqrt(q0)
     x = x0 * (radius / np.linalg.norm(x0))
     phi_x = problem.phi(x)
-    f_led = problem.value(x)
+    f_led = 0.0 if callback is None else problem.value(x)  # only the callback reads it
     g = problem.gradient(x, phi_x)
     iterations = 0
     while True:

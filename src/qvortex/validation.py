@@ -51,3 +51,13 @@ def readonly(arr):
     out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
+
+
+def freeze(arr):
+    """Mark a freshly built C-contiguous float64 array read-only in place.
+
+    Unlike readonly it makes no copy, so it is only for arrays that nothing
+    else holds.
+    """
+    arr.setflags(write=False)
+    return arr

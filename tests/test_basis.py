@@ -13,7 +13,7 @@ from qvortex import (
     evaluate_derivatives,
     minimize_on_sphere,
 )
-from qvortex.basis import _inverse_cholesky
+from qvortex.basis import _inverse_cholesky, evaluate_uniform
 
 
 def rand_coeffs(m, radius=10.0, seed=7):
@@ -39,6 +39,24 @@ class TestBuildBasis:
         g = built.gs_matrix
         assert np.array_equal(g, np.tril(g))
         assert np.all(np.diag(g) > 0.0)
+
+    @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
+    def test_cosine_table(self, params, m, panels):
+        # rows m+1..2m come from the recurrence; measured against np.cos:
+        # 7.7e-14 (m=60) and 2.3e-13 (m=180)
+        built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
+        x = built.grid.nodes * (math.pi / 20.0)
+        direct = np.cos(np.arange(2 * m + 1)[:, None] * x)
+        assert built.cos_nodes.shape == (2 * m + 1, x.size)
+        assert np.all(built.cos_nodes[0] == 1.0)
+        assert np.max(np.abs(built.cos_nodes - direct)) < 1e-12
+
+    def test_outputs_read_only(self, basis):
+        for name in ("gs_matrix", "k_matrix", "c_matrix", "psi_nodes", "dpsi_nodes",
+                     "d2psi_nodes", "cos_nodes"):
+            arr = getattr(basis, name)
+            assert not arr.flags.writeable, name
+            assert arr.flags.c_contiguous and arr.dtype == np.float64, name
 
     def test_gram_matrix_is_identity(self, basis):
         w_rho = basis.grid.weights * basis.grid.nodes
@@ -172,6 +190,27 @@ class TestEvaluate:
         a = rand_coeffs(basis.m)
         assert type(evaluate(basis, a, 3.0)) is float
         assert all(type(v) is float for v in evaluate_derivatives(basis, a, 3.0))
+
+
+class TestEvaluateUniform:
+    @pytest.mark.parametrize("intervals", [2000, 45, 16])
+    def test_matches_the_recurrence_on_the_uniform_grid(self, basis, solve, intervals):
+        # intervals=45 puts modes past the Nyquist index (m > intervals),
+        # intervals=16 past the FFT length 2*intervals, so they are folded;
+        # measured worst 2.4e-14 of sum |c_k|
+        rho = np.linspace(0.0, 20.0, intervals + 1)
+        for a in (solve(100.0).coeffs, rand_coeffs(basis.m)):
+            values = evaluate_uniform(basis, a, intervals)
+            assert values.shape == rho.shape
+            assert values[0] == 0.0 and values[-1] == 0.0
+            bound = 1e-13 * np.sum(np.abs(a @ basis.gs_matrix))
+            assert np.max(np.abs(values - evaluate(basis, a, rho))) <= bound
+
+    def test_rejects_bad_input(self, basis):
+        with pytest.raises(ValueError):
+            evaluate_uniform(basis, rand_coeffs(basis.m), 0)
+        with pytest.raises(ValueError):
+            evaluate_uniform(basis, np.ones(basis.m + 1), 10)
 
 
 class TestEvaluateDerivatives:

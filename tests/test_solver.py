@@ -21,6 +21,7 @@ from qvortex import (
 )
 from qvortex.model import decay_edge, potential_derivative
 from qvortex.solver import (
+    _DELTA_WORK_ARRAYS,
     _project_to_basis,
     _rowdot,
     _SphereProblem,
@@ -264,6 +265,19 @@ class TestFunctionalGradient:
         checked = gradient_fd_check(basis, params, q0=100.0, seed=seed)
         assert checked == pytest.approx(worst, rel=0, abs=1e-12)
 
+    def test_work_arrays_leave_the_difference_unchanged(self, basis, params):
+        problem = _SphereProblem(basis, params)
+        a = sphere_point(basis.m, 100.0, seed=9)
+        starts = a - 1e-6 * np.eye(basis.m)
+        cands = a + 1e-6 * np.eye(basis.m)
+        phi_starts = problem.phi(starts)
+        fresh, phi_fresh = problem.delta(starts, phi_starts, cands, theta=0.3)
+        work = list(np.full((_DELTA_WORK_ARRAYS,) + phi_starts.shape, np.nan))
+        reused, phi_reused = problem.delta(starts, phi_starts, cands, theta=0.3, work=work)
+        np.testing.assert_array_equal(reused, fresh)
+        np.testing.assert_array_equal(phi_reused, phi_fresh)
+        assert phi_reused is work[1]
+
     def test_fd_check_takes_one_difference_call_per_point(self, basis, params, monkeypatch):
         calls = []
         delta = _SphereProblem.delta
@@ -357,6 +371,22 @@ class TestMinimize:
         assert not sol.converged
         assert sol.grad_norm > 0.0
 
+    def test_functional_value_taken_once_without_callback(self, basis, params, monkeypatch):
+        # only the callback reads the running value, so a solve without one
+        # evaluates F once, for f_value at the kept minimizer
+        calls = []
+        value = _SphereProblem.value
+
+        def counting(self, a):
+            calls.append(1)
+            return value(self, a)
+
+        monkeypatch.setattr(_SphereProblem, "value", counting)
+        minimize_on_sphere(basis, params, SolveConfig(q0=100.0))
+        assert len(calls) == 1
+        minimize_on_sphere(basis, params, SolveConfig(q0=100.0), callback=lambda *_: None)
+        assert len(calls) == 3
+
     def test_determinism(self, basis, params):
         cfg = SolveConfig(q0=50.0, restarts=2, rng_seed=123)
         one = minimize_on_sphere(basis, params, cfg)
@@ -366,7 +396,7 @@ class TestMinimize:
 
 
 class TestDenseProfileMemory:
-    """The dense profile is summed by recurrence, with no points x modes table.
+    """The dense profile is one FFT of length 4000, with no points x modes table.
 
     Such a table is 2001 x 60 x 8 bytes = 960 KB at m=60; the bound leaves
     room for about a dozen 2001-point vectors.
@@ -403,8 +433,37 @@ class TestDenseProfileMemory:
 
     def test_phi_max_is_the_dense_grid_maximum(self, basis, solve):
         sol = solve(100.0)
-        rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
-        assert sol.phi_max == np.max(np.abs(evaluate(basis, sol.coeffs, rho)))
+        rho, phi = dense_profile(basis, sol.coeffs)
+        assert rho.size == PROFILE_POINTS
+        assert sol.phi_max == np.max(np.abs(phi))
+        # Clenshaw's sum on the same radii: the FFT moved phi_max by 6e-16
+        clenshaw = np.max(np.abs(evaluate(basis, sol.coeffs, rho)))
+        assert sol.phi_max == pytest.approx(clenshaw, rel=1e-14)
+
+
+class TestHessian:
+    """The Hessian from cosine moments against the direct m x N x m product."""
+
+    @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
+    def test_matches_the_direct_product(self, params, m, panels):
+        # measured worst over these points: 1.0e-14 (m=60), 1.7e-14 (m=180)
+        # of the largest entry of the nonlinear part
+        built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
+        problem = _SphereProblem(built, params)
+        for q0, seed in [(100.0, 0), (100.0, 1), (1000.0, 2)]:
+            a = sphere_point(m, q0, seed)
+            phi = problem.phi(a)
+            ph2 = phi * phi
+            curv = problem.lam * problem.w_rho * ph2 * (30.0 * ph2 - 12.0 * problem.a_pot)
+            direct = (problem.psi * curv) @ problem.psi.T
+            got = problem.hessian(a, phi) - problem.mat
+            assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_reduced_hessian_shifts_the_hessian(self, basis, params):
+        problem = _SphereProblem(basis, params)
+        a = sphere_point(basis.m, 100.0, seed=3)
+        shifted, _ = problem.reduced_hessian(a, problem.phi(a), 0.7)
+        np.testing.assert_array_equal(shifted, problem.hessian(a) - 0.7 * np.eye(basis.m))
 
 
 class TestNewtonDirection:
