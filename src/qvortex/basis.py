@@ -17,10 +17,11 @@ sine/cosine series rather than by numerical differentiation.
 
 Off the quadrature grid an expansion is summed as the sine series
 sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G. On a uniform grid
-rho_i = i*p/J (the solver's output profile) that sum is a type-I discrete
-sine transform, so evaluate_uniform takes all J + 1 values from one real
-FFT of length 2J. At arbitrary radii evaluate and evaluate_derivatives use
-Clenshaw's recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series
+rho_i = i*p/J (the solver's output profile and the finite-difference
+oracle's grid) that sum is a type-I discrete sine transform, so
+evaluate_uniform takes all J + 1 values from one real FFT of length 2J.
+At arbitrary radii evaluate and evaluate_derivatives use Clenshaw's
+recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series
 is sin(x)*b_1, and the cosine series of the derivative is
 cos(x)*b_1 - b_2 (Press et al., Numerical Recipes, 3rd ed., Sec. 5.4).
 That takes one sine and one cosine per point instead of an m-column table
@@ -35,16 +36,28 @@ Two Galerkin matrices are precomputed on the shared quadrature grid:
     C[i,j] = int psi_i * psi_j / rho drho        (centrifugal, n-independent)
 
 All inner products use the grid, including C, which has no elementary
-closed form. The basis also keeps the cosine table cos(l*x) at the nodes
-for l = 0..2m, (2m + 1) x N doubles (372 KB at m = 60, 5.9 MB at m = 240):
-by sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2, any weighted
-product of two sine modes is a difference of two of its moments, which is
-how the solver assembles its Hessian.
+closed form. The basis keeps one trigonometric table at the nodes:
+cos(l*x) for l = 0..2m and sin(l*x) for l = 0..m, (3m + 2) x N doubles
+(559 KB at m = 60, 8.9 MB at m = 240), of which only the rows l <= 8 are
+evaluated directly and the rest follow by the doubling recurrences
+cos((t+k)x) = 2*cos(t*x)*cos(k*x) - cos((t-k)*x) and its sine analogue.
+By sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2 and
+cos(j*x)*cos(k*x) = [cos((j-k)*x) + cos((j+k)*x)]/2, any weighted product
+of two sine modes, or of two cosine modes, is a Toeplitz minus (plus) Hankel
+matrix of the cosine moments M_l = sum_i v_i*cos(l*x_i) of the weights v
+(Olver & Townsend, SIAM Rev. 55 (2013) 462). So the raw Gram matrix W and
+the raw K come from the moments of w*rho and the raw C from those of w/rho,
+one (2m + 1) x N x 2 product and no m x N x m product, and the
+solver's Hessian comes from the moments of its curvature weights. The
+derivatives of the basis functions are not tabulated: with c = a @ G, an
+expansion's phi' and phi'' at the nodes are sum_k c_k*f_k*cos(k*x) and
+-sum_k c_k*f_k^2*sin(k*x), f_k = k*pi/p, summed on the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +72,7 @@ __all__ = [
     "evaluate_uniform",
 ]
 
+_DIRECT_ROWS = 8  # rows of the trigonometric tables taken from np.cos / np.sin
 _PIVOT_TOL = 1e-12
 _TOO_COARSE = "quadrature grid too coarse to keep the sine modes independent"
 
@@ -70,11 +84,12 @@ class SpectralBasis:
     gs_matrix is lower triangular: psi_j = sum_k gs_matrix[j, k] * s_k. It is
     Gram-Schmidt in mode order, computed as the inverse Cholesky factor of
     the raw modes' Gram matrix, so its diagonal is positive.
-    psi_nodes / dpsi_nodes / d2psi_nodes sample psi_j and its first two
-    derivatives at the quadrature nodes (row j = function j); they are
-    derived from gs_matrix and stored for fast functional evaluation.
-    cos_nodes[l] = cos(l*pi*rho/p) at the nodes, l = 0..2m, the moments of
-    which give every weighted product of two sine modes.
+    psi_nodes samples psi_j at the quadrature nodes (row j = function j,
+    psi_nodes = gs_matrix @ sin_nodes), stored for fast functional
+    evaluation. sin_nodes[k - 1] = sin(k*pi*rho/p), k = 1..m, and
+    cos_nodes[l] = cos(l*pi*rho/p), l = 0..2m, are the raw tables at the
+    nodes: the moments of cos_nodes give every weighted product of two sine
+    modes, and the two tables give the derivatives of an expansion.
     """
 
     m: int
@@ -84,8 +99,7 @@ class SpectralBasis:
     grid: QuadratureGrid
     p: float
     psi_nodes: np.ndarray
-    dpsi_nodes: np.ndarray
-    d2psi_nodes: np.ndarray
+    sin_nodes: np.ndarray
     cos_nodes: np.ndarray
     orthonormality_residual: float
 
@@ -114,11 +128,62 @@ def _inverse_cholesky(w_gram):
     return np.linalg.inv(low)
 
 
+@lru_cache(maxsize=8)
+def _product_indices(m):
+    """Indices |j - k| and j + k of the m x m sine-mode products, modes from 1.
+
+    By sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2 and
+    cos(j*x)*cos(k*x) = [cos((j-k)*x) + cos((j+k)*x)]/2, a weighted product
+    of two modes gathers two cosine moments with them: the Galerkin
+    matrices in build_basis and the solver's Hessian both do. They depend
+    on m alone, so they are built once per basis size.
+    """
+    j = np.arange(1, m + 1)
+    diff, total = np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :]
+    diff.setflags(write=False)
+    total.setflags(write=False)
+    return diff, total
+
+
+def _trig_tables(x, m):
+    """(cos(l*x) for l = 0..2m, sin(l*x) for l = 0..m), one row per l.
+
+    Rows l <= _DIRECT_ROWS are taken from np.cos and np.sin. With rows
+    0..t known, rows t+1..2t follow as one block from
+    cos((t+k)x) = 2*cos(t*x)*cos(k*x) - cos((t-k)*x) and
+    sin((t+k)x) = 2*sin(t*x)*cos(k*x) - sin((t-k)*x), k = 1..t, so t
+    doubles per block. Against np.cos and np.sin the rows are off by at most
+    3.7e-14 (cosine) and 1.9e-14 (sine) at m = 60 on 384 nodes, and by
+    2.7e-13 and 8.2e-14 at m = 240 on 1536 nodes.
+    """
+    cos_table = np.empty((2 * m + 1, x.size))
+    sin_table = np.empty((m + 1, x.size))
+    t = min(_DIRECT_ROWS, 2 * m)
+    arg = np.multiply(np.arange(t + 1)[:, None], x, out=cos_table[: t + 1])
+    np.sin(arg[: min(t, m) + 1], out=sin_table[: min(t, m) + 1])
+    np.cos(arg, out=arg)
+    for table, rows in ((cos_table, 2 * m), (sin_table, m)):
+        top = t
+        while top < rows:
+            k = min(top, rows - top)
+            block = table[top + 1 : top + k + 1]
+            np.multiply(2.0 * table[top], cos_table[1 : k + 1], out=block)
+            block -= table[top - k : top][::-1]
+            top += k
+    return cos_table, sin_table
+
+
 def build_basis(params, m, grid):
     """Orthonormalize the first m sine modes and assemble K and C.
 
     Requires the grid to resolve mode m: at least 6 nodes per wavelength,
-    i.e. len(nodes) >= 3*m.
+    i.e. len(nodes) >= 3*m. W, K_raw and C_raw are gathered from the cosine
+    moments of w*rho and w/rho with the index pair of _product_indices. A
+    basis of modes (rho/p)*sin(k*x) keeps this assembly: the factor rho/p
+    turns each sine-sine product into moments of the weights times
+    rho^2/p^2 (the cross terms of its derivatives, sin*cos, into sine
+    moments); a mode outside the sine family, such as a corner mode chi,
+    adds one row and column by a direct O(m*N) product.
     """
     m = check_positive_int("m", m)
     if grid.p != params.p:
@@ -130,33 +195,25 @@ def build_basis(params, m, grid):
             "nodes per wavelength of the highest mode (need >= 6)"
         )
 
-    # One sine table, the cosine table (rows 1..m overwrite the arguments,
-    # rows m+k follow from cos((m+k)x) = 2cos(mx)cos(kx) - cos((m-k)x)) and
-    # one weighted buffer reused for W, K_raw and C_raw; the k and k^2
-    # factors of the derivatives go onto the m x m factors, which keeps the
-    # m x nodes temporaries few.
     freq = np.arange(1, m + 1) * (np.pi / params.p)
-    cos_table = np.empty((2 * m + 1, grid.nodes.size))
-    arg = np.multiply(freq[:, None], grid.nodes[None, :], out=cos_table[1 : m + 1])
-    s = np.sin(arg)
-    c = np.cos(arg, out=arg)
-    cos_table[0] = 1.0
-    np.multiply(2.0 * c[-1], c, out=cos_table[m + 1 :])
-    cos_table[m + 1 :] -= cos_table[m - 1 :: -1]
-    w_rho = grid.weights * grid.nodes
-    weighted = np.multiply(s, w_rho)
-    weighted *= 4.0 * np.pi
-    w_gram = weighted @ s.T
+    cos_table, sin_table = _trig_tables(grid.nodes * (np.pi / params.p), m)
+    # half the cosine moments of w*rho (for W and K_raw) and of w/rho (for C_raw)
+    half = 0.5 * grid.weights
+    m_rho, m_inv = np.stack((half * grid.nodes, half / grid.nodes)) @ cos_table.T
+    diff, total = _product_indices(m)
+    near, far = m_rho[diff], m_rho[total]
+    w_gram = (4.0 * np.pi) * (near - far)
 
     g = _inverse_cholesky(w_gram)
     resid = np.max(np.abs(g @ w_gram @ g.T - np.eye(m)))
 
-    k_raw = np.outer(freq, freq) * (np.multiply(c, w_rho, out=weighted) @ c.T)
-    c_raw = np.multiply(s, grid.weights / grid.nodes, out=weighted) @ s.T
+    k_raw = np.outer(freq, freq) * (near + far)
+    c_raw = m_inv[diff] - m_inv[total]
     k_mat = g @ k_raw @ g.T
     c_mat = g @ c_raw @ g.T
     k_mat = 0.5 * (k_mat + k_mat.T)
     c_mat = 0.5 * (c_mat + c_mat.T)
+    sin_nodes = sin_table[1:]
 
     return SpectralBasis(
         m=m,
@@ -165,9 +222,8 @@ def build_basis(params, m, grid):
         c_matrix=freeze(c_mat),
         grid=grid,
         p=params.p,
-        psi_nodes=freeze(g @ s),
-        dpsi_nodes=freeze((g * freq) @ c),
-        d2psi_nodes=freeze((g * -(freq**2)) @ s),
+        psi_nodes=freeze(g @ sin_nodes),
+        sin_nodes=freeze(sin_nodes),
         cos_nodes=freeze(cos_table),
         orthonormality_residual=float(resid),
     )

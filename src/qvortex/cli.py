@@ -18,9 +18,12 @@ Configuration is a flat key=value text file, overridable per key with
 are CONFIG_DEFAULTS: the fields of ModelParams, the discretization, the
 numeric options of SolveConfig, and output_dir. The fully resolved
 configuration and the package version are echoed into every output file,
-and outputs are byte-deterministic for a fixed configuration, seed and BLAS
-thread count: floats are written with 17 significant digits (lossless for
-doubles) and nothing time- or host-dependent is emitted.
+and outputs are byte-deterministic for a fixed configuration and seed:
+floats are written with 17 significant digits (lossless for doubles) and
+nothing time- or host-dependent is emitted. Every command's output was also
+byte-identical under 1 and 2 OpenBLAS threads (scipy-openblas 0.3.31, 2
+vCPUs), apart from the output_dir echo; other BLAS builds and thread counts
+are not measured.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import build_basis, evaluate, evaluate_derivatives
+from .basis import build_basis, evaluate_derivatives, evaluate_uniform
 from .crosscheck import BESSEL_ORDER_MAX, N_FD_MIN, bessel_first_zero, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import ORDER_PER_PANEL_MIN, build_grid
@@ -330,10 +333,11 @@ def _oracle_agreement(basis, sol, fd):
 
     The spectral and finite-difference solutions agree when both solves
     converged, |d omega_sq| < 0.01 and the profiles differ by less than
-    0.02 * phi_max.
+    0.02 * phi_max. The oracle grid is uniform, rho_i = i*p/n_fd, so the
+    spectral profile is sampled there by one FFT.
     """
     d_omega = abs(fd.omega_sq - sol.omega_sq)
-    phi_at_fd = evaluate(basis, sol.coeffs, fd.grid_points)
+    phi_at_fd = evaluate_uniform(basis, sol.coeffs, fd.grid_points.size - 1)
     d_prof = float(np.max(np.abs(phi_at_fd - fd.phi_values)))
     agree = sol.converged and fd.converged and d_omega < 0.01 and d_prof < 0.02 * sol.phi_max
     return d_omega, d_prof, agree

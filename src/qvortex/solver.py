@@ -19,7 +19,8 @@ multiplier estimate, for a tangent direction d. The nonlinear part of H,
 psi.diag(c).psi^T for nodal curvature weights c, is summed by the
 product-to-sum identity sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2
 from the 2m + 1 cosine moments of c over the basis' cosine table
-((2m + 1) x N doubles, 372 KB at m = 60), so a step costs one
+((2m + 1) x N doubles, 372 KB at m = 60; with the sine table and
+psi_nodes the basis keeps 743 KB of node tables there), so a step costs one
 (2m + 1) x N matrix-vector product and two m x m x m products instead of
 an m x N x m product. The block H - theta*I, shifted by a multiple of
 a.a^T that leaves it unchanged on the tangent space, is factored by
@@ -46,7 +47,9 @@ Solution quality is reported as the residual of the radial field equation,
     RE = (1/p) * sqrt( int (phi_rhorho + phi_rho/rho - n^2 phi/rho^2
                             + omega^2 phi - U'(phi))^2 drho ),
 
-evaluated with analytic derivatives on the shared quadrature grid. For
+evaluated with analytic derivatives on the shared quadrature grid: the
+derivatives of the sine series sum_k c_k*sin(k*pi*rho/p), c = a @ G, taken
+term by term on the basis' raw sine and cosine tables. For
 |n| >= 2 the integrand grows like 1/rho^2 toward the origin because sine
 modes vanish only linearly there; the grid has no node at rho = 0 and the
 reported RE is understood as this grid-discretized value. The first panel's
@@ -60,11 +63,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .basis import evaluate_uniform
+from .basis import _product_indices, evaluate_uniform
 from .model import decay_edge, decay_rate, potential_derivative, theory_bounds
 from .validation import check_coeffs, check_positive, check_positive_int, readonly
 
@@ -156,9 +158,12 @@ class VortexSolution:
 def _residual_on_nodes(coeffs, omega_sq, basis, params):
     a = check_coeffs("coeffs", coeffs, basis.m)
     rho = basis.grid.nodes
+    # phi = sum_k c_k sin(f_k rho) with c = a.G, differentiated term by term
+    freq = np.arange(1, basis.m + 1) * (math.pi / basis.p)
+    c_freq = (a @ basis.gs_matrix) * freq
     phi = a @ basis.psi_nodes
-    dphi = a @ basis.dpsi_nodes
-    d2phi = a @ basis.d2psi_nodes
+    dphi = c_freq @ basis.cos_nodes[1 : basis.m + 1]
+    d2phi = -(c_freq * freq) @ basis.sin_nodes
     return (
         d2phi
         + dphi / rho
@@ -296,20 +301,6 @@ def _initial_coeffs(basis, params, config):
     if np.linalg.norm(a) == 0.0:
         raise ValueError("the start projects to the zero vector")
     return a
-
-
-@lru_cache(maxsize=8)
-def _product_indices(m):
-    """Indices |j - k| and j + k of the m x m sine-mode products, modes from 1.
-
-    The Hessian gathers its nonlinear part from the cosine moments with
-    them; they depend on m alone, so they are built once per basis size.
-    """
-    j = np.arange(1, m + 1)
-    diff, total = np.abs(j[:, None] - j[None, :]), j[:, None] + j[None, :]
-    diff.setflags(write=False)
-    total.setflags(write=False)
-    return diff, total
 
 
 def _rowdot(u, v):

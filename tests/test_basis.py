@@ -42,18 +42,19 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
     def test_cosine_table(self, params, m, panels):
-        # rows m+1..2m come from the recurrence; measured against np.cos:
-        # 7.7e-14 (m=60) and 2.3e-13 (m=180)
+        # rows past 8 come from the doubling recurrences; measured against
+        # np.cos: 3.7e-14 (m=60) and 1.5e-13 (m=180), np.sin: 1.9e-14 and 5.7e-14
         built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
         x = built.grid.nodes * (math.pi / 20.0)
         direct = np.cos(np.arange(2 * m + 1)[:, None] * x)
         assert built.cos_nodes.shape == (2 * m + 1, x.size)
         assert np.all(built.cos_nodes[0] == 1.0)
         assert np.max(np.abs(built.cos_nodes - direct)) < 1e-12
+        assert built.sin_nodes.shape == (m, x.size)
+        assert np.max(np.abs(built.sin_nodes - np.sin(np.arange(1, m + 1)[:, None] * x))) < 1e-12
 
     def test_outputs_read_only(self, basis):
-        for name in ("gs_matrix", "k_matrix", "c_matrix", "psi_nodes", "dpsi_nodes",
-                     "d2psi_nodes", "cos_nodes"):
+        for name in ("gs_matrix", "k_matrix", "c_matrix", "psi_nodes", "sin_nodes", "cos_nodes"):
             arr = getattr(basis, name)
             assert not arr.flags.writeable, name
             assert arr.flags.c_contiguous and arr.dtype == np.float64, name
@@ -80,13 +81,21 @@ class TestBuildBasis:
         assert np.linalg.eigvalsh(basis.k_matrix)[0] > 0.0
         assert np.linalg.eigvalsh(basis.c_matrix)[0] > 0.0
 
-    def test_matrices_match_direct_recomputation(self, basis):
-        w = basis.grid.weights
-        rho = basis.grid.nodes
-        k_direct = (basis.dpsi_nodes * (w * rho)) @ basis.dpsi_nodes.T
-        c_direct = (basis.psi_nodes * (w / rho)) @ basis.psi_nodes.T
-        assert np.max(np.abs(k_direct - basis.k_matrix)) < 1e-10
-        assert np.max(np.abs(c_direct - basis.c_matrix)) < 1e-10
+    def test_matrices_match_direct_recomputation(self, params):
+        # K and C from the cosine moments against the products of psi' and psi
+        # sampled with np.cos and np.sin; measured worst for K: 9e-15 (m=60)
+        # and 2.2e-14 (m=180) of its largest entry
+        for m, panels in [(60, 48), (180, 72)]:
+            built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
+            w = built.grid.weights
+            rho = built.grid.nodes
+            freq = np.arange(1, m + 1) * (math.pi / 20.0)
+            dpsi = (built.gs_matrix * freq) @ np.cos(freq[:, None] * rho)
+            psi = built.gs_matrix @ np.sin(freq[:, None] * rho)
+            k_direct = (dpsi * (w * rho)) @ dpsi.T
+            c_direct = (psi * (w / rho)) @ psi.T
+            assert np.max(np.abs(k_direct - built.k_matrix)) < 1e-13 * np.max(np.abs(k_direct))
+            assert np.max(np.abs(c_direct - built.c_matrix)) < 1e-13 * np.max(np.abs(c_direct))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_eigenvalue_matches_bessel_zero(self, params, grid, n):

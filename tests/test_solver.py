@@ -665,6 +665,27 @@ class TestResidualError:
             values.append(sol.residual_error)
         assert values[0] > values[1] > values[2]
 
+    def test_matches_the_derivative_tables(self, basis, params, solve):
+        # the residual summed on the basis' raw sine and cosine tables against
+        # the same sum over psi, psi' and psi'' tabulated with np.sin and
+        # np.cos; measured worst relative difference 1.2e-12 (n=5), 2.2e-13 (n=1, 3)
+        rho = basis.grid.nodes
+        freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
+        sin_tab, cos_tab = np.sin(freq[:, None] * rho), np.cos(freq[:, None] * rho)
+        psi = basis.gs_matrix @ sin_tab
+        dpsi = (basis.gs_matrix * freq) @ cos_tab
+        d2psi = (basis.gs_matrix * -(freq**2)) @ sin_tab
+        points = [(solve(100.0, n).coeffs, solve(100.0, n).omega_sq, n) for n in (1, 3, 5)]
+        points.append((sphere_point(basis.m, 100.0, seed=4), 1.0, 1))
+        for a, omega_sq, n in points:
+            row_params = replace(params, n=n)
+            phi = a @ psi
+            r = (a @ d2psi + (a @ dpsi) / rho - n**2 * phi / rho**2 + omega_sq * phi
+                 - potential_derivative(phi, row_params))
+            expected = float(np.sqrt(np.dot(basis.grid.weights, r * r))) / 20.0
+            got = residual_error(a, omega_sq, basis, row_params)
+            assert got == pytest.approx(expected, rel=1e-10)
+
     def test_split_reports_first_panel_share(self, basis, solve):
         n3 = ModelParams(n=3)
         sol = minimize_on_sphere(basis, n3, SolveConfig(q0=100.0))
