@@ -11,7 +11,7 @@ constraint's Lagrange multiplier; every closed-form bound the model imposes
 available as a runtime verifier.
 """
 
-from .basis import SpectralBasis, build_basis, evaluate, evaluate_derivatives
+from .basis import SpectralBasis, build_basis, evaluate_uniform, evaluate_uniform_derivatives
 from .crosscheck import FdSolution, bessel_first_zero, fd_minimize
 from .model import (
     ModelParams,
@@ -48,8 +48,8 @@ __all__ = [
     "build_grid",
     "SpectralBasis",
     "build_basis",
-    "evaluate",
-    "evaluate_derivatives",
+    "evaluate_uniform",
+    "evaluate_uniform_derivatives",
     "SolveConfig",
     "VortexSolution",
     "PROFILE_POINTS",

@@ -16,19 +16,12 @@ derivatives of any expansion are available analytically through the
 sine/cosine series rather than by numerical differentiation.
 
 Off the quadrature grid an expansion is summed as the sine series
-sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G. On a uniform grid
+sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G, on a uniform grid
 rho_i = i*p/J (the solver's output profile and the finite-difference
-oracle's grid) that sum is a type-I discrete sine transform, so
-evaluate_uniform takes all J + 1 values from one real FFT of length 2J.
-At arbitrary radii evaluate and evaluate_derivatives use Clenshaw's
-recurrence b_k = c_k + 2*cos(x)*b_{k+1} - b_{k+2}: the series
-is sin(x)*b_1, and the cosine series of the derivative is
-cos(x)*b_1 - b_2 (Press et al., Numerical Recipes, 3rd ed., Sec. 5.4).
-That takes one sine and one cosine per point instead of an m-column table
-of each. Its rounding error grows with m toward rho = 0 and rho = p, where
-cos(x) is near +-1. Relative to sum_k |c_k|*(k*pi/p)^j for derivative j it
-reached 8.3e-13 over 40 random expansions at m = 180, and about 1e-15 on
-converged profiles.
+oracle's grid). There phi is a type-I discrete sine transform and phi' a
+cosine transform, so evaluate_uniform takes all J + 1 values of phi, and
+evaluate_uniform_derivatives those of phi' and phi'', from one real FFT of
+length 2J (Press et al., Numerical Recipes, 3rd ed., Sec. 12.4).
 
 Two Galerkin matrices are precomputed on the shared quadrature grid:
 
@@ -67,9 +60,8 @@ from .validation import check_coeffs, check_positive_int, freeze
 __all__ = [
     "SpectralBasis",
     "build_basis",
-    "evaluate",
-    "evaluate_derivatives",
     "evaluate_uniform",
+    "evaluate_uniform_derivatives",
 ]
 
 _DIRECT_ROWS = 8  # rows of the trigonometric tables taken from np.cos / np.sin
@@ -234,79 +226,46 @@ def _sine_coeffs(basis, coeffs):
     return a @ basis.gs_matrix
 
 
-def _radii(basis, rho):
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if not np.all((rho_arr >= 0.0) & (rho_arr <= basis.p)):
-        raise ValueError(f"rho outside [0, {basis.p}]")
-    return rho_arr
+def _uniform_transform(rows, intervals):
+    """Real FFT, of length 2*intervals, of series coefficients placed at indices 1..m.
 
-
-def _clenshaw(coeffs, two_cos):
-    """(b_1, b_2) of b_k = coeffs[k-1] + two_cos * b_{k+1} - b_{k+2}, b_{m+1} = b_{m+2} = 0.
-
-    coeffs may carry trailing axes (one series per column), which broadcast
-    against two_cos. With two_cos = 2*cos(x), sum_k coeffs[k-1]*sin(k*x) is
-    sin(x)*b_1 and sum_k coeffs[k-1]*cos(k*x) is cos(x)*b_1 - b_2.
+    rows is one coefficient vector or a stack of them (last axis k = 1..m).
+    At x_i = pi*i/intervals the transform is sum_k row_k*exp(-1j*k*x_i): its
+    real part is the cosine series and minus its imaginary part the sine
+    series. Modes k >= 2*intervals alias onto k mod 2*intervals and are
+    folded there first.
     """
-    shape = np.broadcast_shapes(coeffs.shape[1:], two_cos.shape)
-    b1, b2, new = np.zeros(shape), np.zeros(shape), np.empty(shape)
-    for ck in coeffs[::-1]:
-        np.multiply(two_cos, b1, out=new)
-        new += ck
-        new -= b2
-        b1, b2, new = new, b1, b2
-    return b1, b2
-
-
-def evaluate(basis, coeffs, rho):
-    """Profile value phi(rho) = sum_j coeffs[j] * psi_j(rho).
-
-    rho may be a scalar or ndarray in the closed interval [0, p]. The
-    Dirichlet endpoints return exactly 0.
-    """
-    rho_arr = _radii(basis, rho)
-    x = rho_arr * (np.pi / basis.p)
-    b1, _ = _clenshaw(_sine_coeffs(basis, coeffs), 2.0 * np.cos(x))
-    values = np.sin(x) * b1
-    values[(rho_arr == 0.0) | (rho_arr == basis.p)] = 0.0
-    return values if np.ndim(rho) else float(values[0])
+    intervals = check_positive_int("intervals", intervals)
+    length = 2 * intervals
+    m = rows.shape[-1]
+    padded = np.zeros(rows.shape[:-1] + (-(-(m + 1) // length) * length,))
+    padded[..., 1 : m + 1] = rows
+    if padded.shape[-1] > length:
+        padded = padded.reshape(rows.shape[:-1] + (-1, length)).sum(axis=-2)
+    return np.fft.rfft(padded)
 
 
 def evaluate_uniform(basis, coeffs, intervals):
     """Profile phi at the intervals + 1 radii rho_i = i*p/intervals, by one FFT.
 
-    At x_i = pi*i/intervals the sine series sum_k c_k sin(k*x_i) is minus
-    the imaginary part of the real FFT, of length 2*intervals, of the
-    coefficients placed at indices 1..m (a type-I discrete sine transform).
-    Modes k >= 2*intervals alias onto k mod 2*intervals and are folded there
-    first. Both ends are exactly 0.
+    phi is minus the imaginary part of the transform of c = coeffs @ G (a
+    type-I discrete sine transform). Both ends are exactly 0.
     """
-    intervals = check_positive_int("intervals", intervals)
-    length = 2 * intervals
-    padded = np.zeros(-(-(basis.m + 1) // length) * length)
-    padded[1 : basis.m + 1] = _sine_coeffs(basis, coeffs)
-    if padded.size > length:
-        padded = padded.reshape(-1, length).sum(axis=0)
-    values = -np.fft.rfft(padded).imag
+    values = -_uniform_transform(_sine_coeffs(basis, coeffs), intervals).imag
     values[0] = values[-1] = 0.0
     return values
 
 
-def evaluate_derivatives(basis, coeffs, rho):
-    """First and second radial derivatives (phi_rho, phi_rhorho) at rho.
+def evaluate_uniform_derivatives(basis, coeffs, intervals):
+    """(phi_rho, phi_rhorho) at the radii of evaluate_uniform, by one two-row FFT.
 
-    rho may be a scalar or ndarray in the closed interval [0, p]; at the
-    endpoints the values are the limits of the differentiated sine series.
+    With f_k = k*pi/p, phi_rho = sum_k c_k*f_k*cos(k*x) is the real part of
+    the transform of c*f and phi_rhorho = -sum_k c_k*f_k^2*sin(k*x) the
+    imaginary part of that of c*f^2. At the ends they are the series' limits:
+    phi_rhorho is exactly 0, phi_rho is sum_k c_k*f_k at rho = 0 and
+    sum_k (-1)^k*c_k*f_k at rho = p.
     """
-    rho_arr = _radii(basis, rho)
     c = _sine_coeffs(basis, coeffs)
     freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
-    x = rho_arr * (np.pi / basis.p)
-    cos_x = np.cos(x)
-    # one recurrence for the cosine series of phi_rho and the sine series of phi_rhorho
-    b1, b2 = _clenshaw(np.stack((c * freq, -c * freq**2), axis=1)[..., None], 2.0 * cos_x)
-    d1 = cos_x * b1[0] - b2[0]
-    d2 = np.sin(x) * b1[1]
-    if np.ndim(rho):
-        return d1, d2
-    return float(d1[0]), float(d2[0])
+    first, second = _uniform_transform(np.stack((c * freq, c * freq**2)), intervals)
+    return first.real, second.imag

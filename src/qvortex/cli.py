@@ -38,11 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import build_basis, evaluate_derivatives, evaluate_uniform
+from .basis import build_basis, evaluate_uniform, evaluate_uniform_derivatives
 from .crosscheck import BESSEL_ORDER_MAX, N_FD_MIN, bessel_first_zero, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import ORDER_PER_PANEL_MIN, build_grid
 from .solver import (
+    PROFILE_POINTS,
     SolveConfig,
     check_solution,
     dense_profile,
@@ -214,7 +215,7 @@ def cmd_solve(cfg, params, solve, args):
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
 
     rho, phi = dense_profile(basis, sol.coeffs)
-    d1, d2 = evaluate_derivatives(basis, sol.coeffs, rho)
+    d1, d2 = evaluate_uniform_derivatives(basis, sol.coeffs, PROFILE_POINTS - 1)
     profile_rows = zip(rho.tolist(), phi.tolist(), d1.tolist(), d2.tolist())
     extra = {"q0": q0}
     _write(

@@ -10,6 +10,7 @@ basis function vanishes linearly at rho = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,12 @@ class QuadratureGrid:
     p: float
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    return tuple(readonly(arr) for arr in np.polynomial.legendre.leggauss(order))
+
+
 def build_grid(p, panels=48, order_per_panel=8):
     """Composite Gauss-Legendre grid over `panels` uniform panels of [0, p].
 
@@ -41,7 +48,7 @@ def build_grid(p, panels=48, order_per_panel=8):
     panels = check_positive_int("panels", panels)
     order = check_positive_int("order_per_panel", order_per_panel, minimum=ORDER_PER_PANEL_MIN)
 
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+    ref_nodes, ref_weights = _gauss_legendre(order)
     width = p / panels
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + 0.5 * width * (ref_nodes[None, :] + 1.0)).ravel()

@@ -56,7 +56,9 @@ reported RE is understood as this grid-discretized value. The first panel's
 contribution can be split out to expose that origin sensitivity.
 
 The output profile on PROFILE_POINTS uniform radii comes from one real FFT
-(basis.evaluate_uniform); phi_max and the decay check both read it.
+(basis.evaluate_uniform); phi_max and the decay check both read it, and
+the solve command's phi_rho and phi_rhorho come from one more on the same
+radii (basis.evaluate_uniform_derivatives).
 """
 
 from __future__ import annotations

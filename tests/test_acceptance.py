@@ -19,7 +19,7 @@ from qvortex import (
     bessel_first_zero,
     build_basis,
     check_decay_envelope,
-    evaluate,
+    evaluate_uniform,
     fd_minimize,
     minimize_on_sphere,
     sweep_q0,
@@ -140,7 +140,8 @@ def test_criterion_09_oracle_equivalence(basis, params, solve):
             fd = fd_minimize(replace(params, n=n), q0, n_fd=2000)
             d_omega = abs(fd.omega_sq - spectral.omega_sq)
             diff = float(np.max(np.abs(
-                evaluate(basis, spectral.coeffs, fd.grid_points) - fd.phi_values
+                evaluate_uniform(basis, spectral.coeffs, fd.grid_points.size - 1)
+                - fd.phi_values
             )))
             if not (d_omega < 0.01 and diff < 0.02 * spectral.phi_max):
                 failures.append((n, q0, d_omega, diff))

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import qvortex.basis as basis_module
 from qvortex import (
     ModelParams,
-    SolveConfig,
     bessel_first_zero,
     build_basis,
     build_grid,
-    evaluate,
-    evaluate_derivatives,
-    minimize_on_sphere,
+    evaluate_uniform,
+    evaluate_uniform_derivatives,
 )
-from qvortex.basis import _inverse_cholesky, evaluate_uniform
+from qvortex.basis import _inverse_cholesky
 
 
 def rand_coeffs(m, radius=10.0, seed=7):
@@ -131,16 +130,29 @@ class TestBuildBasis:
             _inverse_cholesky(w)
 
 
+def direct_tables(m, intervals):
+    """sin(k*x_i) and cos(k*x_i), x_i = pi*i/intervals, k = 1..m, by np.sin and np.cos.
+
+    The sines are set to 0 at both ends, where sin(k*pi) rounds to a few ulps.
+    """
+    x = np.arange(intervals + 1)[:, None] * (math.pi / intervals) * np.arange(1, m + 1)
+    sin_tab = np.sin(x)
+    sin_tab[[0, -1]] = 0.0
+    return sin_tab, np.cos(x)
+
+
 class TestEvaluate:
     def test_dirichlet_endpoints_exact(self, basis):
         a = rand_coeffs(basis.m)
-        assert evaluate(basis, a, 0.0) == 0.0
-        assert evaluate(basis, a, 20.0) == 0.0
+        for intervals in (2000, 45, 16):
+            values = evaluate_uniform(basis, a, intervals)
+            assert values[0] == 0.0
+            assert values[-1] == 0.0
 
     def test_single_mode_midpoint(self, basis):
         e1 = np.zeros(basis.m)
         e1[0] = 1.0
-        assert evaluate(basis, e1, 10.0) == pytest.approx(
+        assert evaluate_uniform(basis, e1, 2000)[1000] == pytest.approx(
             basis.gs_matrix[0, 0], rel=1e-14
         )
 
@@ -154,109 +166,72 @@ class TestEvaluate:
             assert q == pytest.approx(float(a @ a), rel=1e-8)
 
     def test_out_of_range_rejected(self, basis):
+        # the number of intervals must be a positive integer
         a = rand_coeffs(basis.m)
-        with pytest.raises(ValueError):
-            evaluate(basis, a, -0.1)
-        with pytest.raises(ValueError):
-            evaluate(basis, a, 20.1)
-        with pytest.raises(ValueError):
-            evaluate(basis, a, np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            evaluate_derivatives(basis, a, np.nan)
+        for evaluator in (evaluate_uniform, evaluate_uniform_derivatives):
+            for intervals in (-1, 2.5, math.nan):
+                with pytest.raises(ValueError):
+                    evaluator(basis, a, intervals)
 
     def test_wrong_length_rejected(self, basis):
-        with pytest.raises(ValueError):
-            evaluate(basis, np.ones(basis.m + 1), 1.0)
-
-    def test_array_input(self, basis):
-        a = rand_coeffs(basis.m)
-        rho = np.array([0.0, 2.5, 11.0, 20.0])
-        values = evaluate(basis, a, rho)
-        assert values.shape == rho.shape
-        assert values[0] == 0.0 and values[-1] == 0.0
-
-    @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
-    def test_recurrence_matches_direct_tables(self, params, m, panels):
-        # Clenshaw's sums against the sin/cos(k*pi*rho/p) tables, for a converged
-        # profile and a random expansion, including radii next to the endpoints;
-        # the error is relative to sum_k |c_k| * (k*pi/p)**j for derivative j
-        built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
-        converged = minimize_on_sphere(built, params, SolveConfig(q0=100.0))
-        rho = np.concatenate(([0.0, 1e-9, 20.0 - 1e-9, 20.0], np.linspace(0.0, 20.0, 2001)))
-        freq = np.arange(1, m + 1) * (math.pi / 20.0)
-        sin_tab = np.sin(rho[:, None] * freq)
-        cos_tab = np.cos(rho[:, None] * freq)
-        sin_tab[(rho == 0.0) | (rho == 20.0)] = 0.0
-        for a in (converged.coeffs, rand_coeffs(m)):
-            c = a @ built.gs_matrix
-            phi = evaluate(built, a, rho)
-            d1, d2 = evaluate_derivatives(built, a, rho)
-            for j, got, table in [(0, phi, sin_tab), (1, d1, cos_tab), (2, d2, -sin_tab)]:
-                weighted = c * freq**j
-                assert np.max(np.abs(got - table @ weighted)) <= 1e-12 * np.sum(np.abs(weighted))
-
-    def test_scalar_input_returns_floats(self, basis):
-        a = rand_coeffs(basis.m)
-        assert type(evaluate(basis, a, 3.0)) is float
-        assert all(type(v) is float for v in evaluate_derivatives(basis, a, 3.0))
+        for evaluator in (evaluate_uniform, evaluate_uniform_derivatives):
+            with pytest.raises(ValueError):
+                evaluator(basis, np.ones(basis.m + 1), 10)
 
 
 class TestEvaluateUniform:
     @pytest.mark.parametrize("intervals", [2000, 45, 16])
-    def test_matches_the_recurrence_on_the_uniform_grid(self, basis, solve, intervals):
+    def test_matches_the_direct_sum_on_the_uniform_grid(self, basis, solve, intervals):
         # intervals=45 puts modes past the Nyquist index (m > intervals),
         # intervals=16 past the FFT length 2*intervals, so they are folded;
-        # measured worst 2.4e-14 of sum |c_k|
-        rho = np.linspace(0.0, 20.0, intervals + 1)
+        # measured worst 1.3e-15 of sum |c_k|
+        sin_tab, _ = direct_tables(basis.m, intervals)
         for a in (solve(100.0).coeffs, rand_coeffs(basis.m)):
+            c = a @ basis.gs_matrix
             values = evaluate_uniform(basis, a, intervals)
-            assert values.shape == rho.shape
+            assert values.shape == (intervals + 1,)
             assert values[0] == 0.0 and values[-1] == 0.0
-            bound = 1e-13 * np.sum(np.abs(a @ basis.gs_matrix))
-            assert np.max(np.abs(values - evaluate(basis, a, rho))) <= bound
+            assert np.max(np.abs(values - sin_tab @ c)) <= 1e-13 * np.sum(np.abs(c))
 
     def test_rejects_bad_input(self, basis):
-        with pytest.raises(ValueError):
-            evaluate_uniform(basis, rand_coeffs(basis.m), 0)
-        with pytest.raises(ValueError):
-            evaluate_uniform(basis, np.ones(basis.m + 1), 10)
+        for evaluator in (evaluate_uniform, evaluate_uniform_derivatives):
+            with pytest.raises(ValueError):
+                evaluator(basis, rand_coeffs(basis.m), 0)
+            with pytest.raises(ValueError):
+                evaluator(basis, np.ones(basis.m + 1), 10)
 
 
 class TestEvaluateDerivatives:
+    # a grid of spacing 1e-4 on [0, 20] for the finite differences
+    FINE = 200000
+
     def test_single_mode_second_derivative_relation(self, basis):
         e1 = np.zeros(basis.m)
         e1[0] = 1.0
-        for rho in (3.0, 9.5, 17.2):
-            _, d2 = evaluate_derivatives(basis, e1, rho)
-            assert d2 == pytest.approx(
-                -((math.pi / 20.0) ** 2) * evaluate(basis, e1, rho), rel=1e-12
-            )
+        phi = evaluate_uniform(basis, e1, 200)
+        _, d2 = evaluate_uniform_derivatives(basis, e1, 200)
+        for i in (30, 95, 172):  # rho = 3.0, 9.5, 17.2
+            assert d2[i] == pytest.approx(-((math.pi / 20.0) ** 2) * phi[i], rel=1e-12)
 
     def test_first_derivative_matches_finite_differences(self, basis):
+        # five-point central differences: the three-point rule at h = 1e-4
+        # leaves 1.9e-6 of truncation error at rho = 3.1
         a = rand_coeffs(basis.m)
-        h = 1e-5
-        for rho in (3.1, 7.7, 12.3, 18.9):
-            fd = (evaluate(basis, a, rho + h) - evaluate(basis, a, rho - h)) / (2 * h)
-            d1, _ = evaluate_derivatives(basis, a, rho)
-            assert d1 == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        h = 20.0 / self.FINE
+        phi = evaluate_uniform(basis, a, self.FINE)
+        d1, _ = evaluate_uniform_derivatives(basis, a, self.FINE)
+        for i in (31000, 77000, 123000, 189000):  # rho = 3.1, 7.7, 12.3, 18.9
+            fd = (8.0 * (phi[i + 1] - phi[i - 1]) - (phi[i + 2] - phi[i - 2])) / (12 * h)
+            assert d1[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_second_derivative_matches_finite_differences(self, basis):
         a = rand_coeffs(basis.m)
-        h = 1e-4
-        for rho in (3.1, 7.7, 12.3):
-            fd = (
-                evaluate(basis, a, rho + h)
-                - 2.0 * evaluate(basis, a, rho)
-                + evaluate(basis, a, rho - h)
-            ) / h**2
-            _, d2 = evaluate_derivatives(basis, a, rho)
-            assert d2 == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-    def test_endpoints_rejected(self, basis):
-        a = rand_coeffs(basis.m)
-        for rho in (-1.0, -1e-12, 20.0 + 1e-12, 21.0):
-            with pytest.raises(ValueError):
-                evaluate_derivatives(basis, a, rho)
+        h = 20.0 / self.FINE
+        phi = evaluate_uniform(basis, a, self.FINE)
+        _, d2 = evaluate_uniform_derivatives(basis, a, self.FINE)
+        for i in (31000, 77000, 123000):  # rho = 3.1, 7.7, 12.3
+            fd = (phi[i + 1] - 2.0 * phi[i] + phi[i - 1]) / h**2
+            assert d2[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     def test_endpoints_give_the_series_limits(self, basis):
         # phi = sum c_k sin(k*pi*rho/p): at rho = 0 the first derivative is
@@ -266,10 +241,30 @@ class TestEvaluateDerivatives:
         freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
         sign = (-1.0) ** np.arange(1, basis.m + 1)
         scale = float(np.sum(np.abs(c * freq**2)))
-        d1, d2 = evaluate_derivatives(basis, a, np.array([0.0, 20.0]))
-        np.testing.assert_allclose(
-            d1, [c @ freq, c @ (sign * freq)], rtol=1e-12, atol=1e-14 * scale
-        )
-        assert d2[0] == 0.0
-        assert abs(d2[1]) <= 1e-12 * scale
+        for intervals in (2000, 45, 16):
+            d1, d2 = evaluate_uniform_derivatives(basis, a, intervals)
+            np.testing.assert_allclose(
+                d1[[0, -1]], [c @ freq, c @ (sign * freq)], rtol=1e-12, atol=1e-14 * scale
+            )
+            assert d2[0] == 0.0 and d2[-1] == 0.0
 
+    @pytest.mark.parametrize("intervals", [2000, 45, 16])
+    def test_matches_direct_tables(self, basis, solve, intervals):
+        # phi' = sum c_k*f_k*cos(k*x) and phi'' = -sum c_k*f_k^2*sin(k*x) summed
+        # on np.cos / np.sin tables; at intervals=45 and 16 modes past the
+        # Nyquist index and past the FFT length are folded; measured worst
+        # 2.3e-15 (phi') and 3.3e-15 (phi'') of sum |c_k|*f_k^j
+        sin_tab, cos_tab = direct_tables(basis.m, intervals)
+        freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
+        for a in (solve(100.0).coeffs, rand_coeffs(basis.m)):
+            c = a @ basis.gs_matrix
+            d1, d2 = evaluate_uniform_derivatives(basis, a, intervals)
+            assert d1.shape == d2.shape == (intervals + 1,)
+            for got, weighted, table in [(d1, c * freq, cos_tab), (d2, c * freq**2, -sin_tab)]:
+                assert np.max(np.abs(got - table @ weighted)) <= 1e-13 * np.sum(np.abs(weighted))
+
+
+def test_uniform_fft_is_the_only_off_node_evaluator():
+    # one evaluator off the nodes: no arbitrary-radius sums beside the FFT
+    for name in ("evaluate", "evaluate_derivatives", "_clenshaw", "_radii"):
+        assert not hasattr(basis_module, name), name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qvortex import build_grid
+from qvortex.quadrature import _gauss_legendre
 
 
 class TestBuildGrid:
@@ -42,6 +43,23 @@ class TestBuildGrid:
         grid = build_grid(20.0, panels=2, order_per_panel=4)
         with pytest.raises(ValueError):
             grid.nodes[0] = 5.0
+
+    def test_cached_rule_is_read_only_and_unchanged(self):
+        # the rule is computed once per order and shared by every later grid,
+        # so no caller may write into it
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(8)
+        nodes, weights = _gauss_legendre(8)
+        assert _gauss_legendre(8)[0] is nodes
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+        grid = build_grid(20.0, panels=48, order_per_panel=8)
+        width = 20.0 / 48
+        starts = width * np.arange(48)
+        assert np.array_equal(grid.nodes, (starts[:, None] + 0.5 * width * (ref_nodes + 1.0)).ravel())
+        assert np.array_equal(grid.weights, np.tile(0.5 * width * ref_weights, 48))
 
 
 class TestIntegrate:
