@@ -46,7 +46,6 @@ from .solver import (
     PROFILE_POINTS,
     SolveConfig,
     check_solution,
-    dense_profile,
     gradient_fd_check,
     minimize_on_sphere,
     residual_error_split,
@@ -214,9 +213,9 @@ def cmd_solve(cfg, params, solve, args):
     basis = _stage("basis")(_build)(cfg, params)
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
 
-    rho, phi = dense_profile(basis, sol.coeffs)
+    rho = np.linspace(0.0, params.p, PROFILE_POINTS)
     d1, d2 = evaluate_uniform_derivatives(basis, sol.coeffs, PROFILE_POINTS - 1)
-    profile_rows = zip(rho.tolist(), phi.tolist(), d1.tolist(), d2.tolist())
+    profile_rows = zip(rho.tolist(), sol.profile.tolist(), d1.tolist(), d2.tolist())
     extra = {"q0": q0}
     _write(
         out / "profile.csv",
@@ -246,7 +245,7 @@ def cmd_solve(cfg, params, solve, args):
             "artifact_version": __version__,
             "config": _config_echo(cfg, extra),
             "bounds": asdict(theory_bounds(params)),
-            "checks": check_solution(basis, sol, q0, params),
+            "checks": check_solution(sol, q0, params),
         },
     )
     if not sol.converged:
@@ -370,7 +369,7 @@ def cmd_verify(cfg, params, solve, args):
 
     sol = minimize_on_sphere(basis, params, replace(solve, q0=BENCHMARK_Q0))
     bounds = theory_bounds(params)
-    checks = check_solution(basis, sol, BENCHMARK_Q0, params)
+    checks = check_solution(sol, BENCHMARK_Q0, params)
     decay = checks.pop("decay_envelope")
     window_ok = bounds.omega_sq_min < sol.omega_sq < bounds.omega_sq_max
     report(

@@ -56,9 +56,10 @@ reported RE is understood as this grid-discretized value. The first panel's
 contribution can be split out to expose that origin sensitivity.
 
 The output profile on PROFILE_POINTS uniform radii comes from one real FFT
-(basis.evaluate_uniform); phi_max and the decay check both read it, and
-the solve command's phi_rho and phi_rhorho come from one more on the same
-radii (basis.evaluate_uniform_derivatives).
+(basis.evaluate_uniform), summed once per solve and kept in the solution;
+phi_max, the decay check and the solve command's profile.csv all read it,
+and the solve command's phi_rho and phi_rhorho come from one more FFT on
+the same radii (basis.evaluate_uniform_derivatives).
 """
 
 from __future__ import annotations
@@ -105,8 +106,13 @@ class SolveConfig:
     grad_tol     : stop when |tangent grad| <= grad_tol * max(1, |grad|)
     max_iter     : iteration cap per descent run
     start_coeffs : starting coefficient vector, rescaled onto the sphere;
-                   None (default) starts from the ring bump
-                   rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2)
+                   None (default) starts from the lowest-F on the sphere
+                   of the ring bump
+                   rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2),
+                   the linear ground mode (lowest eigenvector of
+                   K + n^2 C) and the thin-wall profile
+                   tanh(rho)^|n| * (1 - tanh(rho - R))/2,
+                   R = sqrt(q0/(pi*a_pot)) + |n|; a tie keeps the bump
     restarts     : extra descent runs, each from the kept minimizer
                    perturbed by 1% relative noise, lowest F kept;
                    0 (default) runs one descent from the start
@@ -141,15 +147,16 @@ class VortexSolution:
     """Converged (or best-effort) minimizer and its diagnostics.
 
     coeffs lie on the sphere |a|^2 = q0 and are sign-normalized so the
-    profile is non-negative at its largest extremum. phi_max is taken over a
-    dense uniform output grid of PROFILE_POINTS points. grad_norm is the
-    final tangent-gradient norm, attached so non-convergence is never a
-    silent success.
+    profile is non-negative at its largest extremum. profile is phi at the
+    PROFILE_POINTS uniform radii of dense_profile, and phi_max its largest
+    absolute value. grad_norm is the final tangent-gradient norm, attached
+    so non-convergence is never a silent success.
     """
 
     coeffs: np.ndarray
     omega_sq: float
     residual_error: float
+    profile: np.ndarray
     phi_max: float
     iterations: int
     converged: bool
@@ -201,27 +208,28 @@ def dense_profile(basis, coeffs):
     return rho, evaluate_uniform(basis, coeffs, PROFILE_POINTS - 1)
 
 
-def check_decay_envelope(basis, coeffs, omega_sq, params):
+def check_decay_envelope(profile, omega_sq, params):
     """Exponential tail check phi^2 <= (2*a_pot/3)*exp(-sigma*(rho - p0)).
 
-    The inner radius is p0 = 0.75*p. Returns (applicable, ok,
-    worst_excess): applicable is False when omega_sq is not below
-    decay_edge, where no decay rate exists; worst_excess is
-    max(phi^2 - bound) over the dense_profile points in [p0, p].
+    profile is phi at uniform radii from 0 to p inclusive, such as a
+    solution's profile. The inner radius is p0 = 0.75*p. Returns
+    (applicable, ok, worst_excess): applicable is False when omega_sq is
+    not below decay_edge, where no decay rate exists; worst_excess is
+    max(phi^2 - bound) over the profile points in [p0, p].
     """
     p0 = _DECAY_P0_FRACTION * params.p
     if omega_sq >= decay_edge(params):
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
-    rho, phi = dense_profile(basis, coeffs)
+    rho = np.linspace(0.0, params.p, len(profile))
     tail = rho >= p0
     bound = (2.0 * params.a_pot / 3.0) * np.exp(-sigma * (rho[tail] - p0))
-    excess = phi[tail] ** 2 - bound
+    excess = profile[tail] ** 2 - bound
     worst = float(np.max(excess))
     return True, worst <= 0.0, worst
 
 
-def check_solution(basis, solution, q0, params):
+def check_solution(solution, q0, params):
     """Verdicts of the model's bounds on a solution at norm q0, by name.
 
     The shape is that of the `checks` object of bounds.json. A conditional
@@ -232,7 +240,7 @@ def check_solution(basis, solution, q0, params):
     """
     bounds = theory_bounds(params)
     omega_sq = solution.omega_sq
-    applicable, ok, worst = check_decay_envelope(basis, solution.coeffs, omega_sq, params)
+    applicable, ok, worst = check_decay_envelope(solution.profile, omega_sq, params)
     below_max = omega_sq < bounds.omega_sq_max
     return {
         "necessary_condition": {"pass": omega_sq > bounds.omega_sq_necessary},
@@ -293,16 +301,43 @@ def _project_to_basis(basis, values):
     return 4.0 * math.pi * (basis.psi_nodes @ (w_rho * values))
 
 
-def _initial_coeffs(basis, params, config):
-    if config.start_coeffs is None:
-        a = _project_to_basis(
-            basis, _ring_bump_nodes(basis.grid.nodes, abs(params.n), basis.p)
-        )
-    else:
+def _thin_wall_nodes(rho, n_abs, q0, a_pot):
+    """tanh(rho)^|n| * (1 - tanh(rho - R))/2, a plateau ending in a wall at R.
+
+    A plateau at sqrt(a_pot/2), the thin-wall amplitude, holds norm q0 out
+    to radius sqrt(q0/(pi*a_pot)); the vortex core moves the wall |n| out.
+    """
+    wall = math.sqrt(q0 / (math.pi * a_pot)) + n_abs
+    return np.tanh(rho) ** n_abs * 0.5 * (1.0 - np.tanh(rho - wall))
+
+
+def _initial_coeffs(basis, params, config, problem):
+    """The configured start, or else the cold candidate of lowest F.
+
+    The cold candidates are the ring bump, the linear ground mode (the
+    lowest eigenvector of K + n^2 C, the minimizer as q0 -> 0) and the
+    thin-wall profile (its large-q0 shape). They are compared on the sphere
+    by the factored difference of _lower, and a tie keeps the bump. The
+    winner comes back unscaled, as the descent rescales its start.
+    """
+    if config.start_coeffs is not None:
         a = check_coeffs("start_coeffs", np.asarray(config.start_coeffs), basis.m)
-    if np.linalg.norm(a) == 0.0:
-        raise ValueError("the start projects to the zero vector")
-    return a
+        if np.linalg.norm(a) == 0.0:
+            raise ValueError("the start projects to the zero vector")
+        return a
+    rho, n_abs = basis.grid.nodes, abs(params.n)
+    candidates = (
+        _project_to_basis(basis, _ring_bump_nodes(rho, n_abs, basis.p)),
+        np.linalg.eigh(problem.mat)[1][:, 0],
+        _project_to_basis(basis, _thin_wall_nodes(rho, n_abs, config.q0, params.a_pot)),
+    )
+    radius = math.sqrt(config.q0)
+    on_sphere = [a * (radius / np.linalg.norm(a)) for a in candidates]
+    best = 0
+    for k in (1, 2):
+        if _lower(problem, on_sphere[k], on_sphere[best], config.q0):
+            best = k
+    return candidates[best]
 
 
 def _rowdot(u, v):
@@ -516,8 +551,9 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
 def _lower(problem, cand, x, q0):
     """Whether F(cand) < F(x), decided by the factored difference.
 
-    Converged runs end at values of F that agree to roundoff, so comparing
-    the values each run accumulated would choose between them by noise.
+    It picks the cold start and the kept restart run. Converged runs end
+    at values of F that agree to roundoff, so comparing the values each run
+    accumulated would choose between them by noise.
     """
     phi_x = problem.phi(x)
     theta = float(np.dot(x, problem.gradient(x, phi_x))) / q0
@@ -527,14 +563,20 @@ def _lower(problem, cand, x, q0):
 def minimize_on_sphere(basis, params, config, callback=None):
     """Minimize F on the sphere |a|^2 = q0 and assemble the solution record.
 
-    Runs one descent from the configured start, then `restarts` reruns
+    Runs one descent from the configured start (start_coeffs, or else the
+    cold candidate of lowest F, see SolveConfig), then `restarts` reruns
     (none by default) from the kept minimizer perturbed by 1% relative
-    noise seeded by rng_seed, and keeps the lowest final F. omega_sq is the
-    constraint's multiplier, 4*pi*(a.grad F(a))/q0 + 2*lam*b at the kept
-    minimizer, and f_value is F there. The callback, when given, receives
-    (iteration, coeffs, f, tangent_grad_norm) after every accepted step of
-    every run, all taken at the new iterate; f is F less its constant, summed
-    from the accepted line-search increments, so it falls monotonically.
+    noise seeded by rng_seed, and keeps the lowest final F. Both the cold
+    candidates and the runs are compared by the factored difference of
+    _lower, so without a callback F itself is evaluated once, for f_value.
+    omega_sq is the constraint's multiplier, 4*pi*(a.grad F(a))/q0 +
+    2*lam*b at the kept minimizer, and f_value is F there. The profile on
+    the PROFILE_POINTS output radii is summed once, for the sign
+    normalization, and kept in the solution. The callback, when given,
+    receives (iteration, coeffs, f, tangent_grad_norm) after every accepted
+    step of every run, all taken at the new iterate; f is F less its
+    constant, summed from the accepted line-search increments, so it falls
+    monotonically.
     """
     if basis.p != params.p:
         raise ValueError(f"basis built for p={basis.p}, params have p={params.p}")
@@ -543,7 +585,7 @@ def minimize_on_sphere(basis, params, config, callback=None):
     problem = _SphereProblem(basis, params)
 
     rng = np.random.default_rng(config.rng_seed)
-    x0 = _initial_coeffs(basis, params, config)
+    x0 = _initial_coeffs(basis, params, config, problem)
     best = None
     total_iterations = 0
     for attempt in range(config.restarts + 1):
@@ -563,17 +605,18 @@ def minimize_on_sphere(basis, params, config, callback=None):
             best = result
 
     coeffs, gt_norm, _, converged = best
-    rho_dense, phi_dense = dense_profile(basis, coeffs)
+    _, phi_dense = dense_profile(basis, coeffs)
     peak = int(np.argmax(np.abs(phi_dense)))
     if phi_dense[peak] < 0.0:
         coeffs = -coeffs
-        phi_dense = -phi_dense
+        phi_dense = 0.0 - phi_dense  # keeps both ends +0.0, as summing -coeffs would
     theta = float(coeffs @ problem.gradient(coeffs)) / config.q0
     omega_sq = 4.0 * math.pi * theta + 2.0 * params.lam * params.b
     return VortexSolution(
         coeffs=readonly(coeffs),
         omega_sq=omega_sq,
         residual_error=residual_error(coeffs, omega_sq, basis, params),
+        profile=readonly(phi_dense),
         phi_max=float(np.max(np.abs(phi_dense))),
         iterations=total_iterations,
         converged=bool(converged),

@@ -112,9 +112,9 @@ def test_criterion_06_norm_threshold(table1, table2):
     check(6, "norm threshold", not bad, f"{len(rows)} converged rows checked")
 
 
-def test_criterion_07_decay_envelope(basis, params, table1):
+def test_criterion_07_decay_envelope(params, table1):
     sol = dict(table1[0])[100.0]
-    applicable, ok, worst = check_decay_envelope(basis, sol.coeffs, sol.omega_sq, params)
+    applicable, ok, worst = check_decay_envelope(sol.profile, sol.omega_sq, params)
     check(7, "decay envelope", applicable and ok, f"worst excess {worst:.3e}")
 
 

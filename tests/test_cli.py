@@ -206,8 +206,11 @@ class TestVerifyCommand:
             assert f"{name}: PASS" in printed
 
     def test_unconverged_solves_fail_their_lines(self, tmp_path, capsys):
-        # five steps leave both the Q0=100 and the Q0=0.01 solve short
-        assert run("verify", "--out", str(tmp_path), "--set", "max_iter=5") == 1
+        # a tolerance no solve can meet leaves both the Q0=100 and the Q0=0.01
+        # solve short after five steps (the linear-mode start converges the
+        # Q0=0.01 solve in one step at the default tolerance)
+        assert run("verify", "--out", str(tmp_path), "--set", "max_iter=5",
+                   "--set", "grad_tol=1e-300") == 1
         printed = capsys.readouterr().out
         for name in ("bounds", "decay", "linear_limit", "oracle_cross"):
             assert f"{name}: FAIL" in printed

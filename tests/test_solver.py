@@ -21,6 +21,7 @@ from qvortex import (
 from qvortex.model import decay_edge, potential_derivative
 from qvortex.solver import (
     _DELTA_WORK_ARRAYS,
+    _initial_coeffs,
     _project_to_basis,
     _rowdot,
     _SphereProblem,
@@ -526,9 +527,42 @@ class TestNewtonDirection:
         )
 
 
+class TestColdStart:
+    """A solve without start_coeffs starts from the lowest-F of three profiles."""
+
+    @pytest.mark.parametrize(
+        "n, q0, winner", [(1, 0.01, "linear"), (1, 100.0, "thin_wall"), (4, 100.0, "bump")]
+    )
+    def test_starts_from_the_lowest_candidate(self, basis, params, n, q0, winner):
+        row = replace(params, n=n)
+        problem = _SphereProblem(basis, row)
+        rho, scale = basis.grid.nodes, basis.p / 4.0
+        wall = math.sqrt(q0 / (math.pi * row.a_pot)) + n
+        candidates = {
+            "bump": rho**n * (basis.p - rho) * np.exp(-(((rho - scale) / scale) ** 2)),
+            "thin_wall": np.tanh(rho) ** n * (1.0 - np.tanh(rho - wall)),
+        }
+        candidates = {k: _project_to_basis(basis, v) for k, v in candidates.items()}
+        candidates["linear"] = np.linalg.eigh(problem.mat)[1][:, 0]
+        units = {k: a / np.linalg.norm(a) for k, a in candidates.items()}
+        values = {k: problem.value(math.sqrt(q0) * u) for k, u in units.items()}
+        assert min(values, key=values.get) == winner
+        start = _initial_coeffs(basis, row, SolveConfig(q0=q0), problem)
+        assert abs(units[winner] @ start) / np.linalg.norm(start) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSolveCost:
     """Step budgets: first-order descent alone needs about 10^5 steps on this
     grid and reaches max_iter in some runs."""
+
+    def test_table2_takes_fewer_steps_than_from_the_ring_bump(self, table2):
+        # from the ring bump alone the five rows take 12, 14, 15, 15, 15 steps
+        assert sum(sol.iterations for _, sol in table2) < 71
+
+    def test_linear_limit_converges_from_the_linear_mode(self, solve):
+        # the ground mode is the q0 -> 0 minimizer; from the ring bump it takes 7 steps
+        sol = solve(0.01)
+        assert sol.converged and sol.iterations <= 2
 
     def test_warm_start_next_to_a_saddle_leaves_it_quickly(self, basis, params):
         # the q0=14.68 row starts from the q0=12.12 minimizer rescaled, where
@@ -598,18 +632,14 @@ class TestModelBoundsOnSolutions:
             if sol.omega_sq < edge:
                 assert sol.phi_max < math.sqrt(2.0 * params.a_pot / 3.0)
 
-    def test_decay_envelope_default_inner_radius(self, basis, params, solve):
+    def test_decay_envelope_default_inner_radius(self, params, solve):
         sol = solve(100.0)
-        applicable, ok, worst = check_decay_envelope(
-            basis, sol.coeffs, sol.omega_sq, params
-        )
+        applicable, ok, worst = check_decay_envelope(sol.profile, sol.omega_sq, params)
         assert applicable and ok, f"worst excess {worst}"
 
-    def test_decay_envelope_higher_winding(self, basis, params, solve):
+    def test_decay_envelope_higher_winding(self, solve):
         sol = solve(100.0, n=2)
-        applicable, ok, worst = check_decay_envelope(
-            basis, sol.coeffs, sol.omega_sq, ModelParams(n=2)
-        )
+        applicable, ok, worst = check_decay_envelope(sol.profile, sol.omega_sq, ModelParams(n=2))
         assert applicable and ok, f"worst excess {worst}"
 
 
@@ -635,11 +665,11 @@ class TestCheckSolution:
         ],
     )
     def test_verdicts(
-        self, basis, params, solve, omega_sq, phi_max, q0, necessary, ceiling, threshold
+        self, params, solve, omega_sq, phi_max, q0, necessary, ceiling, threshold
     ):
         sol = solve(100.0)
         sol = replace(sol, omega_sq=omega_sq, phi_max=phi_max or sol.phi_max)
-        checks = check_solution(basis, sol, q0, params)
+        checks = check_solution(sol, q0, params)
         verdict = {name: (c["pass"], c.get("applicable")) for name, c in checks.items()}
         assert verdict["necessary_condition"] == (necessary, None)
         assert verdict["amplitude_ceiling"] == ceiling
