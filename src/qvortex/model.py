@@ -21,7 +21,8 @@ collected in TheoryBounds:
   (see p_star_bound).
 
 Each is written once, here, and solver.check_solution judges a solution
-against all of them. They are verifiers, never fitting knobs.
+against all of them but p_star, which bounds the disk, not the solution.
+They are verifiers, never fitting knobs.
 """
 
 from __future__ import annotations

@@ -22,13 +22,13 @@ from the 2m + 1 cosine moments of c over the basis' cosine table
 ((2m + 1) x N doubles, 372 KB at m = 60; with the sine table and
 psi_nodes the basis keeps 743 KB of node tables there), so a step costs one
 (2m + 1) x N matrix-vector product and two m x m x m products instead of
-an m x N x m product. The block H - theta*I, shifted by a multiple of
-a.a^T that leaves it unchanged on the tangent space, is factored by
-Cholesky. When that fails the reduced Hessian is not
+an m x N x m product. The step reads one matrix, the reduced Hessian
+R = P.(H - theta*I).P + mu*u.u^T, P = I - u.u^T, u = a/|a|, and d = R^-1
+grad_t F where R passes Cholesky. When it fails the reduced Hessian is not
 positive definite (Newton could head for a saddle, such as an excited
-state), and the step is the eigen-modified Newton step instead: the reduced
-Hessian's eigenvalues are replaced by their absolute values, which keeps
-the curvature information and turns the saddle's negative directions into
+state), and the step is the eigen-modified Newton step instead: the
+eigenvalues of R are replaced by their absolute values, which keeps the
+curvature information and turns the saddle's negative directions into
 descent directions. Either way Armijo backtracking from the full step picks
 the step length, and the iterate is retracted by rescaling back to radius
 sqrt(Q0) (an exact retraction).
@@ -232,17 +232,19 @@ def check_decay_envelope(profile, omega_sq, params):
 def check_solution(solution, q0, params):
     """Verdicts of the model's bounds on a solution at norm q0, by name.
 
-    The shape is that of the `checks` object of bounds.json. A conditional
-    check that does not apply passes: the amplitude ceiling applies where
-    the decay envelope does, below decay_edge, and the norm threshold below
-    omega_sq_max. The decay envelope starts at p0 = 0.75*p, which the
-    decay_envelope entry reports.
+    The shape is that of the `checks` object of bounds.json. The existence
+    window omega_sq_min < omega_sq < omega_sq_max is open at both edges. A
+    conditional check that does not apply passes: the amplitude ceiling
+    applies where the decay envelope does, below decay_edge, and the norm
+    threshold below omega_sq_max. The decay envelope starts at p0 = 0.75*p,
+    which the decay_envelope entry reports.
     """
     bounds = theory_bounds(params)
     omega_sq = solution.omega_sq
     applicable, ok, worst = check_decay_envelope(solution.profile, omega_sq, params)
     below_max = omega_sq < bounds.omega_sq_max
     return {
+        "existence_window": {"pass": bounds.omega_sq_min < omega_sq < bounds.omega_sq_max},
         "necessary_condition": {"pass": omega_sq > bounds.omega_sq_necessary},
         "amplitude_ceiling": {
             "applicable": applicable,
@@ -459,52 +461,48 @@ class _SphereProblem:
         return self.mat + self.gs @ products @ self.gs.T
 
     def reduced_hessian(self, x, phi_x, theta):
-        """(H - theta*I, mu*x.x^T) at x, for the exact Hessian H of F.
+        """R = P.(H - theta*I).P + mu*u.u^T, u = x/|x|, P = I - u.u^T.
 
-        On the tangent space their sum equals the reduced Hessian, so the
-        sum passes Cholesky only where the reduced Hessian is positive
-        definite: at a stationary point on the sphere, a pass certifies a
-        strict local minimum (Morse index 0). mu, the largest absolute row
-        sum of H - theta*I over |x|^2, lifts the sum along x.
+        On the tangent space R is the Riemannian Hessian of F on the sphere
+        (Absil, Mahony & Sepulchre, 2008); along u it is mu > 0, the largest
+        absolute row sum of B = H - theta*I. So R passes Cholesky exactly
+        where the reduced Hessian is positive definite, and its number of
+        negative eigenvalues is the Morse index. R is formed in place on H,
+        in O(m^2), as B - u.v^T - v.u^T with v = B.u - (u.B.u + mu)/2 * u.
         """
-        shifted = self.hessian(x, phi_x)
-        shifted.flat[:: len(x) + 1] -= theta
-        mu = float(np.max(np.sum(np.abs(shifted), axis=1))) / float(np.dot(x, x))
-        return shifted, mu * np.outer(x, x)
+        r = self.hessian(x, phi_x)
+        r.flat[:: len(x) + 1] -= theta
+        mu = float(np.max(np.sum(np.abs(r), axis=1)))
+        unit = x / math.sqrt(float(np.dot(x, x)))
+        v = r @ unit
+        v -= 0.5 * (float(np.dot(unit, v)) + mu) * unit
+        r -= np.outer(unit, v) + np.outer(v, unit)
+        return r
 
     def newton_direction(self, x, phi_x, gt, theta):
         """Tangent Newton step d; the iterate moves to x - d.
 
-        Solves the bordered KKT system [[H - theta*I, x], [x^T, 0]] for the
-        exact Hessian H of F. The block H - theta*I is shifted by mu*x.x^T,
-        which leaves it unchanged on the tangent space. Its Cholesky
-        factorization serves only as the positive-definiteness test that
-        picks the Newton step; the step itself comes from one LU solve of
-        the block with both right-hand sides. numpy has no triangular
-        solver, so solving with the Cholesky factors would cost two full LU
-        solves, and scipy's triangular solvers would put scipy on the run
-        path.
-
-        A failed factorization means the reduced Hessian is not positive
-        definite, where Newton could head for a saddle. The step is then
-        |R|^-1 gt, with R the block projected onto the tangent space plus
-        the same shift along x and |R| its eigendecomposition with the
-        eigenvalues replaced by their absolute values (floored at 1e-8 of
-        the largest), so every negative-curvature direction is descended.
+        R = reduced_hessian maps the tangent space into itself, so where R
+        passes Cholesky, R^-1 gt is the step of the bordered KKT system
+        [[H - theta*I, x], [x^T, 0]]. The factorization only tests R: the
+        step comes from one LU solve, as numpy has no triangular solver and
+        scipy's would put scipy on the run path. Where it fails, Newton could
+        head for a saddle, and the step is |R|^-1 gt, the eigenvalues of R
+        replaced by their absolute values (floored at 1e-8 of the largest),
+        so every negative-curvature direction is descended. Either step then
+        loses its roundoff-sized component along x.
         """
-        shifted, border = self.reduced_hessian(x, phi_x, theta)
-        block = shifted + border
+        r = self.reduced_hessian(x, phi_x, theta)
         try:
-            np.linalg.cholesky(block)
+            np.linalg.cholesky(r)
         except np.linalg.LinAlgError:
-            unit = x / math.sqrt(float(np.dot(x, x)))
-            proj = np.eye(len(x)) - np.outer(unit, unit)
-            evals, evecs = np.linalg.eigh(proj @ shifted @ proj + border)
+            evals, evecs = np.linalg.eigh(r)
             scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
             d = evecs @ ((evecs.T @ gt) / scale)
-            return d - float(np.dot(unit, d)) * unit
-        z_g, z_x = np.linalg.solve(block, np.column_stack((gt, x))).T
-        return z_g - (float(np.dot(x, z_g)) / float(np.dot(x, z_x))) * z_x
+        else:
+            d = np.linalg.solve(r, gt)
+        unit = x / math.sqrt(float(np.dot(x, x)))
+        return d - float(np.dot(unit, d)) * unit
 
 
 def _descend(x0, q0, problem, grad_tol, max_iter, callback):

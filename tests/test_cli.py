@@ -146,19 +146,25 @@ class TestTable2Command:
         assert "nonzero integer" in capsys.readouterr().err
 
     def test_agreement_across_blas_thread_counts(self, tmp_path):
+        # the winding sweep's cold starts and the warm-started norm sweep,
+        # which takes the most Newton steps per solve
         src = str(Path(qvortex.__file__).resolve().parents[1])
+        commands = {"table2.csv": ["table2"], "dispersion.csv": ["dispersion", "--points", "7"]}
         rows = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
             out = tmp_path / threads
-            subprocess.run(
-                [sys.executable, "-m", "qvortex.cli", "table2", "--out", str(out)],
-                env=env, check=True, timeout=300,
-            )
-            rows[threads] = data_lines(out / "table2.csv")[1:]
-        assert len(rows["1"]) == 5
-        assert rows["1"] == rows["2"]
+            for name, argv in commands.items():
+                subprocess.run(
+                    [sys.executable, "-m", "qvortex.cli", *argv, "--out", str(out)],
+                    env=env, check=True, timeout=300,
+                )
+                rows[threads, name] = data_lines(out / name)[1:]
+        assert len(rows["1", "table2.csv"]) == 5
+        assert len(rows["1", "dispersion.csv"]) == 7 + 2
+        for name in commands:
+            assert rows["1", name] == rows["2", name]
 
 
 class TestDispersionCommand:

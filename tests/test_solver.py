@@ -18,7 +18,7 @@ from qvortex import (
     residual_error,
     sweep_q0,
 )
-from qvortex.model import decay_edge, potential_derivative
+from qvortex.model import decay_edge, potential_derivative, theory_bounds
 from qvortex.solver import (
     _DELTA_WORK_ARRAYS,
     _initial_coeffs,
@@ -38,7 +38,7 @@ def sphere_point(m, q0, seed):
 
 
 def certify_minimum(basis, params, sol, q0):
-    """Cholesky of the reduced Hessian at sol, assembled as in newton_direction.
+    """Cholesky of the reduced Hessian at sol, the matrix newton_direction factors.
 
     Raises LinAlgError unless the reduced Hessian is positive definite, which
     at a converged solution certifies a minimum (Morse index 0), not a saddle.
@@ -47,8 +47,7 @@ def certify_minimum(basis, params, sol, q0):
     x = np.array(sol.coeffs)
     phi = problem.phi(x)
     theta = float(x @ problem.gradient(x, phi)) / q0
-    shifted, border = problem.reduced_hessian(x, phi, theta)
-    np.linalg.cholesky(shifted + border)
+    np.linalg.cholesky(problem.reduced_hessian(x, phi, theta))
 
 
 def expanded_delta(problem, x, phi_x, cand, theta=0.0):
@@ -460,11 +459,46 @@ class TestHessian:
             got = problem.hessian(a, phi) - problem.mat
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
-    def test_reduced_hessian_shifts_the_hessian(self, basis, params):
+    def test_reduced_hessian_projects_the_shifted_hessian(self, basis, params):
         problem = _SphereProblem(basis, params)
         a = sphere_point(basis.m, 100.0, seed=3)
-        shifted, _ = problem.reduced_hessian(a, problem.phi(a), 0.7)
-        np.testing.assert_array_equal(shifted, problem.hessian(a) - 0.7 * np.eye(basis.m))
+        got = problem.reduced_hessian(a, problem.phi(a), 0.7)
+        shifted = problem.hessian(a) - 0.7 * np.eye(basis.m)
+        unit = a / np.linalg.norm(a)
+        tangent = np.linalg.qr(np.column_stack((unit, np.eye(basis.m)[:, :-1])))[0][:, 1:]
+        np.testing.assert_allclose(
+            tangent.T @ got @ tangent, tangent.T @ shifted @ tangent,
+            rtol=0.0, atol=1e-13 * np.abs(shifted).max(),
+        )
+        mu = np.max(np.sum(np.abs(shifted), axis=1))
+        np.testing.assert_allclose(got @ unit, mu * unit, rtol=0.0, atol=1e-13 * mu)
+
+    def test_certifies_where_only_the_reduced_hessian_is_positive(
+        self, basis, params, monkeypatch
+    ):
+        # B = [[-1, 0.9], [0.9, 0.5]] + I: positive definite on the tangent
+        # space of x = e_1, but B + mu*e_1.e_1^T (mu = 1.9, the largest row
+        # sum) leads with [[0.9, 0.9], [0.9, 0.5]] and is indefinite
+        m = basis.m
+        block = np.eye(m)
+        block[:2, :2] = [[-1.0, 0.9], [0.9, 0.5]]
+        bordered = block.copy()
+        bordered[0, 0] += 1.9
+        assert np.linalg.eigvalsh(bordered).min() < 0.0
+        problem = _SphereProblem(basis, params)
+        monkeypatch.setattr(problem, "hessian", lambda a, phi=None: block.copy())
+        x = 10.0 * np.eye(m)[0]
+        np.linalg.cholesky(problem.reduced_hessian(x, problem.phi(x), 0.0))
+
+        def no_eigh(*_):
+            raise AssertionError("eigen-modified step taken")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        gt = np.zeros(m)
+        gt[1:3] = 1.0
+        d = problem.newton_direction(x, problem.phi(x), gt, 0.0)
+        np.testing.assert_allclose(d[:3], [0.0, 2.0, 1.0], rtol=1e-15, atol=0.0)
+        assert not d[3:].any()
 
 
 class TestNewtonDirection:
@@ -671,12 +705,21 @@ class TestCheckSolution:
         sol = replace(sol, omega_sq=omega_sq, phi_max=phi_max or sol.phi_max)
         checks = check_solution(sol, q0, params)
         verdict = {name: (c["pass"], c.get("applicable")) for name, c in checks.items()}
+        # of these rows only omega_sq = 0.4 lies inside the window (0.2, 2.2)
+        assert verdict["existence_window"] == (omega_sq == 0.4, None)
         assert verdict["necessary_condition"] == (necessary, None)
         assert verdict["amplitude_ceiling"] == ceiling
         assert verdict["norm_threshold"] == threshold
         # the ceiling and the decay envelope apply on the same side of the edge
         assert verdict["decay_envelope"][1] == ceiling[1]
         assert checks["decay_envelope"]["p0"] == 0.75 * params.p
+
+    @pytest.mark.parametrize("edge, inward", [("omega_sq_min", math.inf), ("omega_sq_max", 0.0)])
+    def test_existence_window_is_open(self, params, solve, edge, inward):
+        edge = getattr(theory_bounds(params), edge)
+        for omega_sq, inside in ((edge, False), (math.nextafter(edge, inward), True)):
+            sol = replace(solve(100.0), omega_sq=omega_sq)
+            assert check_solution(sol, 100.0, params)["existence_window"]["pass"] is inside
 
 
 class TestResidualError:
