@@ -29,6 +29,7 @@ are not measured.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -426,7 +427,9 @@ def cmd_oracle_compare(cfg, params, solve, args):
     return 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once; main dispatches on args.command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a flat key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -446,26 +449,20 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", parents=[common], help="one constrained solve")
-    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("--q0", type=float, default=BENCHMARK_Q0, help="prescribed reduced norm")
 
-    sub.add_parser("table1", parents=[common], help="norm sweep at n from config"
-                   ).set_defaults(run=cmd_table1)
-    sub.add_parser("table2", parents=[common], help="winding sweep 1..5 at q0=100"
-                   ).set_defaults(run=cmd_table2)
+    sub.add_parser("table1", parents=[common], help="norm sweep at n from config")
+    sub.add_parser("table2", parents=[common], help="winding sweep 1..5 at q0=100")
 
     p_disp = sub.add_parser("dispersion", parents=[common], help="frequency vs norm data")
-    p_disp.set_defaults(run=cmd_dispersion)
     p_disp.add_argument("--q0-min", type=float, default=10.0)
     p_disp.add_argument("--q0-max", type=float, default=1000.0)
     p_disp.add_argument("--points", type=int, default=25)
 
-    sub.add_parser("verify", parents=[common], help="run the invariant suite"
-                   ).set_defaults(run=cmd_verify)
+    sub.add_parser("verify", parents=[common], help="run the invariant suite")
 
     p_oracle = sub.add_parser("oracle-compare", parents=[common],
                               help="spectral vs finite-difference cross-check")
-    p_oracle.set_defaults(run=cmd_oracle_compare)
     p_oracle.add_argument("--q0", type=float, default=BENCHMARK_Q0)
     p_oracle.add_argument("--n-fd", type=int, default=2000)
 
@@ -473,15 +470,15 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         run = resolve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.run(*run, args)
+        # looked up per call, so a patched module global takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](*run, args)
     except RuntimeError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1

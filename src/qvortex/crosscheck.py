@@ -5,9 +5,14 @@ constrained minimization is rediscretized from scratch on a uniform radial
 grid with trapezoid sums, and the Bessel zero (which fixes the linear-limit
 frequency of the spectral problem) is computed from the ascending power
 series with plain bisection. Agreement between the two solvers is therefore
-evidence about the continuum problem, not about shared code.
+evidence about the continuum problem, not about shared code. What the two
+share is the closed-form shapes of two start profiles, the ring bump and
+the thin wall (solver._ring_bump_nodes, solver._thin_wall_nodes), which
+each side samples on its own nodes and judges by its own action.
 
-The finite-difference solver takes tangent Newton steps from the bordered
+The finite-difference solver starts from whichever of those two profiles
+has the lower discrete action, the thin wall being offered only when its
+wall lies inside the disk. It takes tangent Newton steps from the bordered
 KKT system of its tridiagonal Hessian (one banded LU solve per step) and
 falls back to a step preconditioned by the Hessian at phi = 0 where the
 Newton step is unavailable. Near the minimizer the Newton steps converge
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import _ring_bump_nodes, _thin_wall_nodes, _thin_wall_radius
 from .validation import check_positive, check_positive_int, readonly
 
 __all__ = ["FdSolution", "fd_minimize", "bessel_first_zero"]
@@ -94,11 +100,6 @@ class FdSolution:
     iterations: int
 
 
-def _ring_bump(rho, n_abs, p):
-    scale = p / 4.0
-    return rho**n_abs * (p - rho) * np.exp(-(((rho - scale) / scale) ** 2))
-
-
 def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     """Minimize the trapezoid-discretized action at prescribed norm q0.
 
@@ -121,6 +122,14 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     the uniform grid's stiffness. Directions only steer the Armijo
     search along the retraction, so the constrained stationary points do
     not depend on them.
+
+    The start is the ring bump or the thin-wall profile
+    tanh(rho)^|n| * (1 - tanh(rho - R))/2, R = sqrt(q0/(pi*a_pot)) + |n|,
+    whichever has the lower discrete action once retracted onto the
+    constraint; a tie keeps the bump. The thin wall is offered only when
+    R < p: a wall outside the disk can start lower and still descend to a
+    different stationary point (n=4, p=12, q0=5000 ends at omega_sq 157.27
+    from it, 147.29 from the bump).
 
     omega_sq is recovered from the discrete Rayleigh identity
     omega_sq = (4*pi/q0) * (phi . grad I(phi)).
@@ -201,8 +210,14 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
             return None
         return y[:, 0] - (np.dot(u, y[:, 0]) / np.dot(u, y[:, 1])) * y[:, 1]
 
-    phi = retract(_ring_bump(rho_in, abs(params.n), p))
+    n_abs = abs(params.n)
+    phi = retract(_ring_bump_nodes(rho_in, n_abs, p))
     f_val, g = action_and_grad(phi)
+    if _thin_wall_radius(n_abs, q0, a_pot) < p:  # offered only with its wall inside
+        thin = retract(_thin_wall_nodes(rho_in, n_abs, q0, a_pot))
+        f_thin, g_thin = action_and_grad(thin)
+        if f_thin < f_val:
+            phi, f_val, g = thin, f_thin, g_thin
     eta = 1.0
     iterations = 0
     converged = False

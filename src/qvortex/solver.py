@@ -309,8 +309,13 @@ def _thin_wall_nodes(rho, n_abs, q0, a_pot):
     A plateau at sqrt(a_pot/2), the thin-wall amplitude, holds norm q0 out
     to radius sqrt(q0/(pi*a_pot)); the vortex core moves the wall |n| out.
     """
-    wall = math.sqrt(q0 / (math.pi * a_pot)) + n_abs
+    wall = _thin_wall_radius(n_abs, q0, a_pot)
     return np.tanh(rho) ** n_abs * 0.5 * (1.0 - np.tanh(rho - wall))
+
+
+def _thin_wall_radius(n_abs, q0, a_pot):
+    """The wall radius R of _thin_wall_nodes."""
+    return math.sqrt(q0 / (math.pi * a_pot)) + n_abs
 
 
 def _initial_coeffs(basis, params, config, problem):

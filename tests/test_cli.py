@@ -376,6 +376,22 @@ class TestConfigResolution:
         assert err.startswith("error [config]: rng_seed")
 
 
+class TestParser:
+    def test_built_once(self, tmp_path, capsys):
+        qvortex.cli._build_parser.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert run("solve", "--out", str(tmp_path)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert qvortex.cli._build_parser.cache_info().misses == 1
+
+    def test_dispatch_reads_the_module_global(self, monkeypatch):
+        qvortex.cli._build_parser()  # cached before the patch
+        monkeypatch.setattr(qvortex.cli, "cmd_oracle_compare", lambda cfg, params, solve, args: 7)
+        assert run("oracle-compare") == 7
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from qvortex import *", namespace)

@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qvortex.crosscheck
 from qvortex import bessel_first_zero, evaluate_uniform, fd_minimize
+from qvortex.solver import _ring_bump_nodes
 
 # first positive zeros of the integer-order Bessel functions J_0..J_5
 BESSEL_ZEROS = {
@@ -15,6 +17,10 @@ BESSEL_ZEROS = {
     4: 7.588342434503804,
     5: 8.771483815959954,
 }
+
+
+# the verify_scan benchmark points: n in 1..3 x p in 16, 20, 24 at q0 = 100
+VERIFY_SCAN = [(n, p) for n in (1, 2, 3) for p in (16.0, 20.0, 24.0)]
 
 
 class TestBesselFirstZero:
@@ -85,9 +91,8 @@ class TestFdMinimize:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_lands_on_the_discrete_minimizer(self, params, n):
-        # omega_sq is first order in the distance to the minimizer: the
-        # default stop leaves 1e-13 (n=1) and 1.5e-9 (n=2) after the last
-        # Newton step, where preconditioned descent left 8.6e-8 and 6.6e-8.
+        # omega_sq is first order in the distance to the minimizer, and the
+        # default stop lands on the same Newton step as the reference.
         # 1e-10 sits well above the tangent gradient's rounding floor
         # (~1e-12), so the reference run converges.
         row = replace(params, n=n)
@@ -100,3 +105,37 @@ class TestFdMinimize:
         fd = fd_minimize(params, 0.01, n_fd=2000)
         expected = 2.2 + (bessel_first_zero(1) / 20.0) ** 2
         assert fd.omega_sq == pytest.approx(expected, abs=2e-3)
+
+
+class TestFdStart:
+    """The oracle starts from the ring bump or the thin wall, whichever has the lower action."""
+
+    @staticmethod
+    def bump_started(monkeypatch, params, q0):
+        # a thin-wall candidate equal to the bump ties, and a tie keeps the bump
+        with monkeypatch.context() as patch:
+            patch.setattr(qvortex.crosscheck, "_thin_wall_nodes",
+                          lambda rho, n_abs, q0, a_pot: _ring_bump_nodes(rho, n_abs, params.p))
+            return fd_minimize(params, q0, n_fd=2000)
+
+    def test_same_frequency_as_the_bump_start(self, params, monkeypatch):
+        for n, p in VERIFY_SCAN:
+            row = replace(params, n=n, p=p)
+            fd = fd_minimize(row, 100.0, n_fd=2000)
+            bump = self.bump_started(monkeypatch, row, 100.0)
+            assert fd.converged and bump.converged, (n, p)
+            assert fd.omega_sq == pytest.approx(bump.omega_sq, abs=1e-7), (n, p)
+
+    def test_verify_scan_step_budget(self, params):
+        # 134 steps from the ring bump alone, 70 from the lower-action start
+        steps = [fd_minimize(replace(params, n=n, p=p), 100.0, n_fd=2000).iterations
+                 for n, p in VERIFY_SCAN]
+        assert sum(steps) <= 80, steps
+
+    def test_thin_wall_outside_the_disk_is_not_offered(self, params):
+        # R = sqrt(5000/(2*pi)) + 4 ~ 32 > p = 12. Offered, the thin wall has
+        # the lower starting action but ends at omega_sq 157.27 (action
+        # 9,807); the bump ends at 147.288 (action 8,839).
+        fd = fd_minimize(replace(params, n=4, p=12.0), 5000.0, n_fd=2000)
+        assert fd.converged
+        assert fd.omega_sq == pytest.approx(147.28816327, abs=1e-6)
