@@ -14,10 +14,14 @@ oracle-compare : spectral vs finite-difference solver at one (n, q0);
                  oracle_compare.json
 
 Configuration is a flat key=value text file, overridable per key with
---set key=value and with the dedicated flags. The keys and their defaults
+--set key=value and then with the dedicated flags --m, --n, --seed and
+--out. A config-file line and a --set item are read by one rule; an error
+in a file line is prefixed with path:line:. The keys and their defaults
 are CONFIG_DEFAULTS: the fields of ModelParams, the discretization, the
-numeric options of SolveConfig, and output_dir. The fully resolved
-configuration and the package version are echoed into every output file,
+numeric options of SolveConfig, and output_dir. The sweep commands
+table1, table2 and dispersion run one body: build the basis, sweep, write
+one CSV, and exit 1 naming every row that did not converge. Every CSV and
+JSON file echoes the package version and the fully resolved configuration,
 and outputs are byte-deterministic for a fixed configuration and seed:
 floats are written with 17 significant digits (lossless for doubles) and
 nothing time- or host-dependent is emitted. Every command's output was also
@@ -75,6 +79,16 @@ CONFIG_DEFAULTS = {
 }
 
 
+# The dedicated flags: flag, config key, type, help. Each beats --set for its key.
+_FLAGS = (
+    ("--out", "output_dir", str, "output directory"),
+    ("--seed", "rng_seed", int,
+     "rng seed >= 0 for verify's gradient-check points and for restarts > 0"),
+    ("--m", "basis_size", int, "basis size"),
+    ("--n", "n", int, "winding number"),
+)
+
+
 def _coerce(key, raw):
     kind = type(CONFIG_DEFAULTS[key])
     try:
@@ -84,52 +98,39 @@ def _coerce(key, raw):
         raise ValueError(f"{key} must be {what}, got {raw!r}") from None
 
 
-def parse_config_file(path):
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
-    values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            values[key] = _coerce(key, raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return values
+def _assign(values, text, where=""):
+    """Apply one key=value assignment to values; every error starts with where."""
+    if "=" not in text:
+        raise ValueError(f"{where}expected key=value, got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in CONFIG_DEFAULTS:
+        raise ValueError(f"{where}unknown config key {key!r}")
+    try:
+        values[key] = _coerce(key, raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def resolve_config(args):
     """Defaults, then config file, then --set overrides, then flags.
 
-    Returns the resolved key table, its ModelParams, and its SolveConfig
-    with a placeholder q0 that each command replaces. Invalid values, of
-    the keys and of the command's own flags, raise ValueError here, before
-    any command runs.
+    A config file holds one assignment per line; '#' starts a comment and
+    blank lines are ignored. Returns the resolved key table, its
+    ModelParams, and its SolveConfig with a placeholder q0 that each
+    command replaces. Invalid values, of the keys and of the command's own
+    flags, raise ValueError here, before any command runs.
     """
     values = dict(CONFIG_DEFAULTS)
     if args.config:
-        values.update(parse_config_file(args.config))
+        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            if stripped := line.split("#", 1)[0].strip():
+                _assign(values, stripped, f"{args.config}:{lineno}: ")
     for item in args.set or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in CONFIG_DEFAULTS:
-            raise ValueError(f"unknown config key {key!r} in --set")
-        values[key] = _coerce(key, raw)
-    if args.m is not None:
-        values["basis_size"] = int(args.m)
-    if getattr(args, "n", None) is not None:
-        values["n"] = int(args.n)
-    if args.seed is not None:
-        values["rng_seed"] = int(args.seed)
-    if args.out is not None:
-        values["output_dir"] = str(args.out)
+        _assign(values, item)
+    for flag, key, _, _ in _FLAGS:
+        if (value := getattr(args, flag[2:])) is not None:
+            values[key] = value
     params = ModelParams(**{f.name: values[f.name] for f in fields(ModelParams)})
     config = SolveConfig(
         q0=1.0, **{f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
@@ -167,17 +168,8 @@ def _fmt(value):
     return str(value)
 
 
-def _config_echo(cfg, extra=None):
-    return dict(sorted({**cfg, **(extra or {})}.items()))
-
-
-def _csv_text(cfg, header, rows, extra=None):
-    lines = [f"# artifact_version={__version__}"]
-    lines += [f"# {k}={_fmt(v)}" for k, v in _config_echo(cfg, extra).items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _config_echo(cfg, extra):
+    return dict(sorted({**cfg, **extra}.items()))
 
 
 def _stage(name):
@@ -199,7 +191,17 @@ def _write(path, text):
     path.write_text(text, encoding="utf-8")
 
 
-def _write_json(path, payload):
+def _write_csv(path, cfg, extra, table):
+    """A CSV artifact: '#' lines with the version and config echo, then the table."""
+    lines = [f"# artifact_version={__version__}"]
+    lines += [f"# {k}={_fmt(v)}" for k, v in _config_echo(cfg, extra).items()]
+    lines += [",".join(_fmt(v) for v in row) for row in table]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path, cfg, extra, payload):
+    """A JSON artifact: payload plus the artifact_version and config keys."""
+    payload = {"artifact_version": __version__, "config": _config_echo(cfg, extra), **payload}
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -216,19 +218,15 @@ def cmd_solve(cfg, params, solve, args):
 
     rho = np.linspace(0.0, params.p, PROFILE_POINTS)
     d1, d2 = evaluate_uniform_derivatives(basis, sol.coeffs, PROFILE_POINTS - 1)
-    profile_rows = zip(rho.tolist(), sol.profile.tolist(), d1.tolist(), d2.tolist())
+    table = [("rho", "phi", "phi_rho", "phi_rhorho"),
+             *zip(rho.tolist(), sol.profile.tolist(), d1.tolist(), d2.tolist())]
     extra = {"q0": q0}
-    _write(
-        out / "profile.csv",
-        _csv_text(cfg, ["rho", "phi", "phi_rho", "phi_rhorho"], profile_rows, extra),
-    )
+    _write_csv(out / "profile.csv", cfg, extra, table)
 
     re_total, re_first = residual_error_split(sol.coeffs, sol.omega_sq, basis, params)
     _write_json(
-        out / "solution.json",
+        out / "solution.json", cfg, extra,
         {
-            "artifact_version": __version__,
-            "config": _config_echo(cfg, extra),
             "omega_sq": sol.omega_sq,
             "phi_max": sol.phi_max,
             "residual_error": re_total,
@@ -239,15 +237,9 @@ def cmd_solve(cfg, params, solve, args):
             "grad_norm": sol.grad_norm,
         },
     )
-
     _write_json(
-        out / "bounds.json",
-        {
-            "artifact_version": __version__,
-            "config": _config_echo(cfg, extra),
-            "bounds": asdict(theory_bounds(params)),
-            "checks": check_solution(sol, q0, params),
-        },
+        out / "bounds.json", cfg, extra,
+        {"bounds": asdict(theory_bounds(params)), "checks": check_solution(sol, q0, params)},
     )
     if not sol.converged:
         print(
@@ -260,73 +252,57 @@ def cmd_solve(cfg, params, solve, args):
     return 0
 
 
-def _records_csv(cfg, path, first_col, keys, solutions, extra):
-    """One row per (key, solution) pair, the key in column first_col."""
-    header = [first_col, "omega_sq", "phi_max", "residual_error", "iterations", "converged"]
-    rows = [
-        (key, sol.omega_sq, sol.phi_max, sol.residual_error, sol.iterations, sol.converged)
-        for key, sol in zip(keys, solutions)
-    ]
-    _write(path, _csv_text(cfg, header, rows, extra))
+_RECORD_FIELDS = ("omega_sq", "phi_max", "residual_error", "iterations", "converged")
 
 
-def _unconverged(keys, solutions):
-    return [key for key, sol in zip(keys, solutions) if not sol.converged]
+def _records(axis, keys, solutions):
+    """The table1/table2 table: the swept value, then the solution's record."""
+    rows = [(key, *(getattr(sol, f) for f in _RECORD_FIELDS)) for key, sol in zip(keys, solutions)]
+    return [(axis, *_RECORD_FIELDS), *rows]
+
+
+def _sweep(cfg, params, name, sweep, solve, axis, keys, table, extra):
+    """The body of every sweep command: solve at each of keys, write one CSV.
+
+    sweep(params, basis, keys, solve) gives one solution per key, and
+    table(axis, keys, solutions) the CSV's header and rows. Returns 1, naming
+    the keys of the rows that did not converge; the file is written either way.
+    """
+    out = Path(cfg["output_dir"])
+    basis = _stage("basis")(_build)(cfg, params)
+    solutions = _stage("solve")(sweep)(params, basis, list(keys), solve)
+    _write_csv(out / name, cfg, extra, table(axis, keys, solutions))
+    bad = [key for key, sol in zip(keys, solutions) if not sol.converged]
+    if bad:
+        print(f"error [solve]: rows did not converge at {axis} = {bad}", file=sys.stderr)
+        return 1
+    print(f"wrote {out / name}")
+    return 0
 
 
 def cmd_table1(cfg, params, solve, args):
-    out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    solutions = _stage("solve")(sweep_q0)(
-        params, basis, list(TABLE1_Q0), replace(solve, q0=TABLE1_Q0[0])
-    )
-    _records_csv(
-        cfg, out / "table1.csv", "q0", TABLE1_Q0, solutions,
-        {"q0_list": ";".join(map(_fmt, TABLE1_Q0))},
-    )
-    bad = _unconverged(TABLE1_Q0, solutions)
-    if bad:
-        print(f"error [solve]: rows did not converge at q0 = {bad}", file=sys.stderr)
-        return 1
-    print(f"wrote {out / 'table1.csv'}")
-    return 0
+    return _sweep(cfg, params, "table1.csv", sweep_q0, replace(solve, q0=TABLE1_Q0[0]),
+                  "q0", TABLE1_Q0, _records, {"q0_list": ";".join(map(_fmt, TABLE1_Q0))})
 
 
 def cmd_table2(cfg, params, solve, args):
-    out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    solutions = _stage("solve")(sweep_n)(
-        params, basis, list(TABLE2_N), replace(solve, q0=BENCHMARK_Q0)
-    )
-    _records_csv(cfg, out / "table2.csv", "n", TABLE2_N, solutions, {"q0": BENCHMARK_Q0})
-    bad = _unconverged(TABLE2_N, solutions)
-    if bad:
-        print(f"error [solve]: rows did not converge at n = {bad}", file=sys.stderr)
-        return 1
-    print(f"wrote {out / 'table2.csv'}")
-    return 0
+    return _sweep(cfg, params, "table2.csv", sweep_n, replace(solve, q0=BENCHMARK_Q0),
+                  "n", TABLE2_N, _records, {"q0": BENCHMARK_Q0})
 
 
 def cmd_dispersion(cfg, params, solve, args):
-    q0_min, q0_max, points = args.q0_min, args.q0_max, args.points
-    out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    q0_list = np.geomspace(q0_min, q0_max, points).tolist()
-    solutions = _stage("solve")(sweep_q0)(
-        params, basis, q0_list, replace(solve, q0=q0_list[0])
-    )
+    q0_list = np.geomspace(args.q0_min, args.q0_max, args.points).tolist()
     bounds = theory_bounds(params)
-    rows = [("solution", q0, sol.omega_sq) for q0, sol in zip(q0_list, solutions)]
-    rows.append(("omega_sq_min", "", bounds.omega_sq_min))
-    rows.append(("omega_sq_max", "", bounds.omega_sq_max))
-    extra = {"q0_min": q0_min, "q0_max": q0_max, "points": points}
-    _write(out / "dispersion.csv", _csv_text(cfg, ["label", "q0", "omega_sq"], rows, extra))
-    bad = _unconverged(q0_list, solutions)
-    if bad:
-        print(f"error [solve]: rows did not converge at q0 = {bad}", file=sys.stderr)
-        return 1
-    print(f"wrote {out / 'dispersion.csv'}")
-    return 0
+
+    def table(axis, keys, solutions):
+        return [("label", axis, "omega_sq"),
+                *(("solution", q0, sol.omega_sq) for q0, sol in zip(keys, solutions)),
+                ("omega_sq_min", "", bounds.omega_sq_min),
+                ("omega_sq_max", "", bounds.omega_sq_max)]
+
+    return _sweep(cfg, params, "dispersion.csv", sweep_q0, replace(solve, q0=q0_list[0]),
+                  "q0", q0_list, table,
+                  {"q0_min": args.q0_min, "q0_max": args.q0_max, "points": args.points})
 
 
 def _oracle_agreement(basis, sol, fd):
@@ -406,19 +382,19 @@ def cmd_oracle_compare(cfg, params, solve, args):
     sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
     fd = _stage("oracle")(fd_minimize)(params, q0, n_fd=n_fd)
     d_omega, d_prof, ok = _oracle_agreement(basis, sol, fd)
-    payload = {
-        "artifact_version": __version__,
-        "config": _config_echo(cfg, {"q0": float(q0), "n_fd": int(n_fd)}),
-        "spectral_omega_sq": sol.omega_sq,
-        "fd_omega_sq": fd.omega_sq,
-        "fd_converged": fd.converged,
-        "fd_iterations": fd.iterations,
-        "delta_omega_sq": d_omega,
-        "profile_max_diff": d_prof,
-        "phi_max": sol.phi_max,
-        "agree": ok,
-    }
-    _write_json(out / "oracle_compare.json", payload)
+    _write_json(
+        out / "oracle_compare.json", cfg, {"q0": q0, "n_fd": n_fd},
+        {
+            "spectral_omega_sq": sol.omega_sq,
+            "fd_omega_sq": fd.omega_sq,
+            "fd_converged": fd.converged,
+            "fd_iterations": fd.iterations,
+            "delta_omega_sq": d_omega,
+            "profile_max_diff": d_prof,
+            "phi_max": sol.phi_max,
+            "agree": ok,
+        },
+    )
     print(
         f"spectral omega_sq {sol.omega_sq:.6f} vs fd {fd.omega_sq:.6f} "
         f"(|delta| {d_omega:.2e}); profile max diff {d_prof:.2e}; "
@@ -434,12 +410,8 @@ def _build_parser():
     common.add_argument("--config", help="path to a flat key=value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    common.add_argument("--out", help="output directory (config key output_dir)")
-    common.add_argument("--seed", type=int,
-                        help="rng seed >= 0 for verify's gradient-check points and for "
-                             "restarts > 0 (config key rng_seed)")
-    common.add_argument("--m", type=int, help="basis size (config key basis_size)")
-    common.add_argument("--n", type=int, help="winding number (config key n)")
+    for flag, key, kind, text in _FLAGS:
+        common.add_argument(flag, type=kind, help=f"{text} (config key {key})")
 
     parser = argparse.ArgumentParser(
         prog="qvortex",

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 import qvortex
 from qvortex import ModelParams, SolveConfig, build_grid, dense_profile, fd_minimize
 import qvortex.cli
-from qvortex.cli import CONFIG_DEFAULTS, _oracle_agreement, main
+from qvortex.cli import CONFIG_DEFAULTS, _coerce, _oracle_agreement, main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
 TABLE2_HEADER = "n,omega_sq,phi_max,residual_error,iterations,converged"
@@ -369,6 +370,14 @@ class TestConfigResolution:
                 if hasattr(source, name):
                     assert getattr(source, name) == default, name
 
+    def test_readme_lists_the_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        (block,) = re.findall(r"```\n(lam=.*?)```", section, re.S)
+        pairs = [item.split("=", 1) for item in block.split()]
+        assert [key for key, _ in pairs] == list(CONFIG_DEFAULTS)
+        assert {key: _coerce(key, raw) for key, raw in pairs} == CONFIG_DEFAULTS
+
     def test_negative_seed_stops_verify_before_any_check(self, capsys):
         assert run("verify", "--seed", "-1") == 2
         out, err = capsys.readouterr()
@@ -390,6 +399,23 @@ class TestParser:
         qvortex.cli._build_parser()  # cached before the patch
         monkeypatch.setattr(qvortex.cli, "cmd_oracle_compare", lambda cfg, params, solve, args: 7)
         assert run("oracle-compare") == 7
+
+    @pytest.mark.parametrize("argv, sweep", [
+        (["table1"], "sweep_q0"),
+        (["table2"], "sweep_n"),
+        (["dispersion", "--points", "3"], "sweep_q0"),
+    ], ids=["table1", "table2", "dispersion"])
+    def test_sweeps_read_the_module_global(self, tmp_path, monkeypatch, argv, sweep):
+        # the benchmark's probes wrap the sweeps by patching these attributes
+        calls = []
+        for name in ("sweep_q0", "sweep_n"):
+            def wrapped(*args, _name=name, _fn=getattr(qvortex.cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(qvortex.cli, name, wrapped)
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        assert calls == [sweep]
 
 
 def test_star_import_binds_every_public_name():
