@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qvortex import SolveConfig, dense_profile, minimize_on_sphere, sweep_q0
+from qvortex import SolveConfig, dense_profile, minimize_on_sphere, sweep_n, sweep_q0
 
 
 class TestSweepQ0:
@@ -60,8 +61,45 @@ class TestSweepN:
             peaks.append(rho[int(np.argmax(np.abs(phi)))])
         assert peaks[0] < peaks[1] < peaks[2]
 
-    def test_records_carry_the_requested_winding(self, table2, solve):
-        # row i is the cold solve at the i-th winding number of the input
+    def test_records_carry_the_requested_winding(self, params, basis, table2, solve):
+        # row i is the solve at the i-th winding number started from row i-1,
+        # and lands on the cold solve's minimizer
+        start = None
         for n, sol in table2:
             assert float(sol.coeffs @ sol.coeffs) == pytest.approx(100.0, rel=1e-10)
-            assert sol.omega_sq == solve(100.0, n).omega_sq
+            warm = minimize_on_sphere(
+                basis, replace(params, n=n), SolveConfig(q0=100.0, start_coeffs=start)
+            )
+            assert np.array_equal(sol.coeffs, warm.coeffs)
+            assert (sol.omega_sq, sol.iterations) == (warm.omega_sq, warm.iterations)
+            assert sol.omega_sq == pytest.approx(solve(100.0, n).omega_sq, rel=1e-8)
+            start = tuple(sol.coeffs)
+
+    def test_rejects_a_non_integer_winding(self, params, basis):
+        with pytest.raises(ValueError, match="n must be a nonzero integer"):
+            sweep_n(params, basis, [1.5, 2.9], SolveConfig(q0=100.0))
+
+
+@pytest.mark.parametrize(
+    "sweep, values, rows",
+    [
+        (sweep_q0, [10.0, 20.0, 30.0, 40.0], [(1, 10.0), (1, 20.0), (1, 30.0), (1, 40.0)]),
+        (sweep_n, [1, 2, 3, 4], [(1, 10.0), (2, 10.0), (3, 10.0), (4, 10.0)]),
+    ],
+)
+def test_each_row_starts_from_the_last_converged_row(
+    monkeypatch, params, basis, sweep, values, rows
+):
+    calls = []
+
+    def spy(basis, params, config):
+        row = len(calls)
+        calls.append((params.n, config.q0, config.start_coeffs))
+        # row 1 does not converge, so row 2 starts from row 0 as well
+        return SimpleNamespace(coeffs=np.full(2, float(row)), converged=row != 1)
+
+    monkeypatch.setattr("qvortex.sweep.minimize_on_sphere", spy)
+    solutions = sweep(params, basis, values, SolveConfig(q0=10.0, start_coeffs=(7.0, 7.0)))
+    assert [sol.coeffs[0] for sol in solutions] == [0.0, 1.0, 2.0, 3.0]
+    assert [(n, q0) for n, q0, _ in calls] == rows
+    assert [start for _, _, start in calls] == [(7.0, 7.0), (0.0, 0.0), (0.0, 0.0), (2.0, 2.0)]
