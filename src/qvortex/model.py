@@ -146,18 +146,26 @@ def p_star_bound(params, omega_sq):
     """Sufficient disk radius for a trapezoidal trial profile to go subcritical.
 
     The trial profile ramps linearly to height t over [0, 1], stays flat on
-    [1, p-1], and ramps back down; with t^2 = a_pot/2 its action is bounded
-    by -A*p^2 + B*p + C*log(p) with
+    [1, p-1], and ramps back down over [p-1, p]. With t^2 = a_pot/2 and
+    c = b - omega_sq/(2*lam), its action
+    int rho*(phi'^2/2 + n^2 phi^2/(2 rho^2) + U(phi) - omega_sq*phi^2/2) drho
+    is -A*p^2 + B*p + C*log(p) plus terms bounded in p, with
 
         A = (lam*a_pot/4) * (omega_sq/(2*lam) - (b - a_pot^2/4))
-        B = t^2/2 + lam*[t^6 - a_pot*t^4 + c*t^2]
-            + lam*[(a_pot/5)*t^4 - t^6/7 - (c/3)*t^2],   c = b - omega_sq/(2*lam)
+        B = t^2/2 - lam*[t^6 - a_pot*t^4 + c*t^2]
+            + lam*[t^6/7 - (a_pot/5)*t^4 + (c/3)*t^2]
         C = n^2 * t^2 / 2
 
-    Bounding log(p) < p folds C into the linear term, so the action is
-    negative whenever p > (B + C)/A, which this function returns. A > 0
-    requires omega_sq above the lower window edge; below it the construction
-    fails and ValueError is raised.
+    The plateau gives -A*p^2 and its -lam*[...] share of B (int rho drho =
+    p^2/2 - p there), the outer ramp the gradient's t^2/2 and the second
+    bracket, and the centrifugal term on the plateau C*log(p - 1). Bounding
+    log(p) < p folds C into the linear term, and this function returns
+    (B + C)/A. The slack C*(p - log(p)) left there must cover the bounded
+    terms (the ramps' constants and the outer ramp's centrifugal part); a
+    test checks by quadrature that the trial action at the returned radius
+    is negative for n = 1, 2, 3 across the window.
+    A > 0 requires omega_sq above the lower window edge; below it the
+    construction fails and ValueError is raised.
     """
     omega_sq = check_finite("omega_sq", omega_sq)
     lam, a, b = params.lam, params.a_pot, params.b
@@ -170,7 +178,7 @@ def p_star_bound(params, omega_sq):
             f"p_star undefined: omega_sq = {omega_sq} is not above the lower "
             f"window edge 2*lam*(b - a_pot^2/4) = {2.0 * lam * (b - a * a / 4.0)}"
         )
-    coef_b = t2 / 2.0 + lam * bracket + lam * ((a / 5.0) * t2**2 - t2**3 / 7.0 - (c / 3.0) * t2)
+    coef_b = t2 / 2.0 - lam * bracket - lam * ((a / 5.0) * t2**2 - t2**3 / 7.0 - (c / 3.0) * t2)
     coef_c = params.n**2 * t2 / 2.0
     return (coef_b + coef_c) / coef_a
 

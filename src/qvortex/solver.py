@@ -105,14 +105,14 @@ class SolveConfig:
     q0           : prescribed reduced norm, > 0
     grad_tol     : stop when |tangent grad| <= grad_tol * max(1, |grad|)
     max_iter     : iteration cap per descent run
-    start_coeffs : starting coefficient vector, rescaled onto the sphere;
-                   None (default) starts from the lowest-F on the sphere
-                   of the ring bump
+    start_coeffs : starting coefficient vector; the descent starts from
+                   the lower-F on the sphere of it and the thin-wall
+                   profile tanh(rho)^|n| * (1 - tanh(rho - R))/2,
+                   R = sqrt(q0/(pi*a_pot)) + |n|, and a tie keeps it.
+                   None (default) starts from the lowest-F of the ring bump
                    rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2),
                    the linear ground mode (lowest eigenvector of
-                   K + n^2 C) and the thin-wall profile
-                   tanh(rho)^|n| * (1 - tanh(rho - R))/2,
-                   R = sqrt(q0/(pi*a_pot)) + |n|; a tie keeps the bump
+                   K + n^2 C) and the thin wall; a tie keeps the bump
     restarts     : extra descent runs, each from the kept minimizer
                    perturbed by 1% relative noise, lowest F kept;
                    0 (default) runs one descent from the start
@@ -319,29 +319,34 @@ def _thin_wall_radius(n_abs, q0, a_pot):
 
 
 def _initial_coeffs(basis, params, config, problem):
-    """The configured start, or else the cold candidate of lowest F.
+    """The start candidate of lowest F on the sphere.
 
-    The cold candidates are the ring bump, the linear ground mode (the
-    lowest eigenvector of K + n^2 C, the minimizer as q0 -> 0) and the
-    thin-wall profile (its large-q0 shape). They are compared on the sphere
-    by the factored difference of _lower, and a tie keeps the bump. The
-    winner comes back unscaled, as the descent rescales its start.
+    A cold solve offers the ring bump, the linear ground mode (the lowest
+    eigenvector of K + n^2 C, the minimizer as q0 -> 0) and the thin-wall
+    profile (its large-q0 shape); a configured start_coeffs takes the place
+    of the first two, next to the thin wall. The candidates are compared on
+    the sphere by the factored difference of _lower, and a tie keeps the
+    first (the bump, or the configured start). The winner comes back
+    unscaled, as the descent rescales its start.
     """
+    rho, n_abs = basis.grid.nodes, abs(params.n)
     if config.start_coeffs is not None:
         a = check_coeffs("start_coeffs", np.asarray(config.start_coeffs), basis.m)
         if np.linalg.norm(a) == 0.0:
             raise ValueError("the start projects to the zero vector")
-        return a
-    rho, n_abs = basis.grid.nodes, abs(params.n)
-    candidates = (
-        _project_to_basis(basis, _ring_bump_nodes(rho, n_abs, basis.p)),
-        np.linalg.eigh(problem.mat)[1][:, 0],
+        candidates = (a,)
+    else:
+        candidates = (
+            _project_to_basis(basis, _ring_bump_nodes(rho, n_abs, basis.p)),
+            np.linalg.eigh(problem.mat)[1][:, 0],
+        )
+    candidates += (
         _project_to_basis(basis, _thin_wall_nodes(rho, n_abs, config.q0, params.a_pot)),
     )
     radius = math.sqrt(config.q0)
     on_sphere = [a * (radius / np.linalg.norm(a)) for a in candidates]
     best = 0
-    for k in (1, 2):
+    for k in range(1, len(candidates)):
         if _lower(problem, on_sphere[k], on_sphere[best], config.q0):
             best = k
     return candidates[best]
@@ -554,7 +559,7 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
 def _lower(problem, cand, x, q0):
     """Whether F(cand) < F(x), decided by the factored difference.
 
-    It picks the cold start and the kept restart run. Converged runs end
+    It picks the start and the kept restart run. Converged runs end
     at values of F that agree to roundoff, so comparing the values each run
     accumulated would choose between them by noise.
     """
@@ -566,10 +571,10 @@ def _lower(problem, cand, x, q0):
 def minimize_on_sphere(basis, params, config, callback=None):
     """Minimize F on the sphere |a|^2 = q0 and assemble the solution record.
 
-    Runs one descent from the configured start (start_coeffs, or else the
-    cold candidate of lowest F, see SolveConfig), then `restarts` reruns
+    Runs one descent from the start candidate of lowest F (see
+    SolveConfig.start_coeffs), then `restarts` reruns
     (none by default) from the kept minimizer perturbed by 1% relative
-    noise seeded by rng_seed, and keeps the lowest final F. Both the cold
+    noise seeded by rng_seed, and keeps the lowest final F. Both the start
     candidates and the runs are compared by the factored difference of
     _lower, so without a callback F itself is evaluated once, for f_value.
     omega_sq is the constraint's multiplier, 4*pi*(a.grad F(a))/q0 +

@@ -2,9 +2,14 @@
 
 Each sweep returns one VortexSolution per input value, in input order.
 Both sweeps are continuations (Allgower & Georg, Numerical Continuation
-Methods, 1990) run by one loop: each row after the first starts from the
-last converged minimizer rescaled onto its sphere, which keeps the profile
-shape and cuts iteration counts sharply. Sweeps over the winding number n
+Methods, 1990) run by one loop: each row after the first is offered the
+last converged minimizer, rescaled onto its sphere, as start_coeffs, which
+keeps the profile shape and cuts iteration counts sharply. The solver
+compares that start with the thin-wall profile at the row's (n, q0) and
+descends from the lower F: rescaling a saturated ring onto a larger sphere
+lifts its plateau, while the thin wall widens the ring at the plateau
+amplitude, so far into the saturation regime the wall wins (Table 1 takes
+31 steps, 61 from the previous row alone). Sweeps over the winding number n
 reuse a single basis, because both Galerkin matrices are n-independent.
 """
 

@@ -172,9 +172,9 @@ def test_criterion_11_sufficient_domain_radius(params):
 
     Under the documented evaluation convention (trapezoid trial profile
     with t^2 = a_pot/2, frequency fixed at the midpoint of the existence
-    window) the bound evaluates to 248/105 ~ 2.36 for the benchmark
+    window) the bound evaluates to 592/105 ~ 5.64 for the benchmark
     parameters; the band around ~12.5 is only reached for evaluation
-    frequencies near 0.47, for which no documented convention exists. The
+    frequencies near 0.59, for which no documented convention exists. The
     criterion is asserted as stated rather than tuned to pass, so this
     test is expected to fail; see the solver notes for the analysis.
     """

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,28 +111,56 @@ class TestTheoryBounds:
         assert theory_bounds(PARAMS) == theory_bounds(ModelParams())
 
 
+def trapezoid_action(params, p, omega_sq, cells=400_000):
+    """Action of p_star_bound's trapezoid trial profile, by the midpoint rule.
+
+    int rho*(phi'^2/2 + n^2 phi^2/(2 rho^2) + U(phi) - omega_sq*phi^2/2)
+    over (0, p), phi = t*min(rho, 1, p - rho) with t^2 = a_pot/2.
+    """
+    t = math.sqrt(params.a_pot / 2.0)
+    h = p / cells
+    rho = (np.arange(cells) + 0.5) * h
+    phi = t * np.minimum(np.minimum(rho, 1.0), p - rho)
+    dphi = np.where(rho < 1.0, t, np.where(rho > p - 1.0, -t, 0.0))
+    density = rho * (
+        0.5 * dphi**2
+        + 0.5 * params.n**2 * phi**2 / rho**2
+        + potential(phi, params)
+        - 0.5 * omega_sq * phi**2
+    )
+    return float(density.sum() * h)
+
+
 class TestPStar:
     def test_midpoint_convention_value(self):
         # exact-fraction evaluation of the documented recipe at the window
-        # midpoint omega_sq = 1.2: A = 1/4, B = 19/210, C = 1/2
+        # midpoint omega_sq = 1.2: A = 1/4, B = 191/210, C = 1/2
         t2 = Fraction(1)
         c = Fraction(11, 10) - Fraction(6, 10)
         bracket = t2**3 - 2 * t2**2 + c * t2
         coef_a = -bracket / 2
-        coef_b = t2 / 2 + bracket + (Fraction(2, 5) * t2**2 - t2**3 / 7 - c * t2 / 3)
+        coef_b = t2 / 2 - bracket - (Fraction(2, 5) * t2**2 - t2**3 / 7 - c * t2 / 3)
         expected = float((coef_b + Fraction(1, 2)) / coef_a)
-        assert expected == pytest.approx(float(Fraction(248, 105)), rel=1e-15)
+        assert expected == pytest.approx(float(Fraction(592, 105)), rel=1e-15)
         bounds = theory_bounds(PARAMS)
         assert bounds.p_star_omega_sq == pytest.approx(1.2, abs=1e-14)
         assert bounds.p_star == pytest.approx(expected, rel=1e-12)
 
     def test_depends_on_evaluation_frequency(self):
         # the bound blows up toward the lower window edge and shrinks toward
-        # the upper edge; near omega_sq ~ 0.467 it passes through ~12.5
-        assert p_star_bound(PARAMS, 0.467126) == pytest.approx(12.5, abs=0.01)
+        # the upper edge; near omega_sq ~ 0.467 it passes through ~17.45
+        assert p_star_bound(PARAMS, 0.467126) == pytest.approx(17.448, abs=0.01)
         assert p_star_bound(PARAMS, 0.25) > p_star_bound(PARAMS, 1.2) > p_star_bound(
             PARAMS, 2.1
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("omega_sq", [0.8, 1.2, 1.6])
+    def test_trial_action_is_negative_at_the_bound(self, n, omega_sq):
+        # at n=1, omega_sq=1.2 the action is -1.77 at p_star = 5.638; at the
+        # formula's former value 2.362 it was +1.26
+        params = ModelParams(n=n)
+        assert trapezoid_action(params, p_star_bound(params, omega_sq), omega_sq) <= 0.0
 
     def test_rejected_at_or_below_lower_edge(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from qvortex.solver import (
     _project_to_basis,
     _rowdot,
     _SphereProblem,
+    _thin_wall_nodes,
     check_solution,
     gradient_fd_check,
     residual_error_split,
@@ -66,6 +67,12 @@ def expanded_delta(problem, x, phi_x, cand, theta=0.0):
     s3 = u2 * u + u2 * v + u * v2 + v2 * v
     s5 = u2 * s3 + v2 * v2 * (u + v)
     return quad + problem.lam * ((dphi * (s5 - problem.a_pot * s3)) @ problem.w_rho)
+
+
+def trapezoid_coeffs(basis):
+    """Projection of the flat-top trial profile min(rho, 1, p - rho)."""
+    rho = basis.grid.nodes
+    return tuple(_project_to_basis(basis, np.minimum(np.minimum(rho, 1.0), basis.p - rho)))
 
 
 def solve_with_run_lengths(basis, params, config):
@@ -351,13 +358,15 @@ class TestMinimize:
         assert phi.min() >= -1e-8 * sol.phi_max
 
     def test_trapezoid_start_reaches_same_minimum(self, basis, params, solve):
-        # a flat-top trial profile instead of the default ring bump
-        rho = basis.grid.nodes
-        trapezoid = np.minimum(np.minimum(rho, 1.0), basis.p - rho)
-        start = tuple(_project_to_basis(basis, trapezoid))
-        sol = minimize_on_sphere(basis, params, SolveConfig(q0=100.0, start_coeffs=start))
+        # a flat-top trial profile instead of the cold candidates; at q0=10 it
+        # has a lower F than the thin wall (which wins from q0=50 to 2000),
+        # so the descent starts from it
+        config = SolveConfig(q0=10.0, start_coeffs=trapezoid_coeffs(basis))
+        start = _initial_coeffs(basis, params, config, _SphereProblem(basis, params))
+        np.testing.assert_array_equal(start, config.start_coeffs)
+        sol = minimize_on_sphere(basis, params, config)
         assert sol.converged
-        assert sol.omega_sq == pytest.approx(solve(100.0).omega_sq, abs=1e-6)
+        assert sol.omega_sq == pytest.approx(solve(10.0).omega_sq, abs=1e-6)
 
     def test_custom_start(self, basis, params, solve):
         start = tuple(solve(100.0).coeffs)
@@ -563,7 +572,8 @@ class TestNewtonDirection:
 
 
 class TestColdStart:
-    """A solve without start_coeffs starts from the lowest-F of three profiles."""
+    """A solve without start_coeffs starts from the lowest-F of three profiles,
+    one with start_coeffs from the lower of that start and the thin wall."""
 
     @pytest.mark.parametrize(
         "n, q0, winner", [(1, 0.01, "linear"), (1, 100.0, "thin_wall"), (4, 100.0, "bump")]
@@ -585,6 +595,17 @@ class TestColdStart:
         start = _initial_coeffs(basis, row, SolveConfig(q0=q0), problem)
         assert abs(units[winner] @ start) / np.linalg.norm(start) == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_configured_start_competes_with_the_thin_wall(self, basis, params, solve):
+        # the trapezoid has a higher F than the thin wall at q0=100, the
+        # converged q0=100 minimizer a lower one
+        problem = _SphereProblem(basis, params)
+        wall = _project_to_basis(basis, _thin_wall_nodes(basis.grid.nodes, 1, 100.0, params.a_pot))
+        config = SolveConfig(q0=100.0, start_coeffs=trapezoid_coeffs(basis))
+        np.testing.assert_array_equal(_initial_coeffs(basis, params, config, problem), wall)
+        config = SolveConfig(q0=100.0, start_coeffs=tuple(solve(100.0).coeffs))
+        start = _initial_coeffs(basis, params, config, problem)
+        np.testing.assert_array_equal(start, solve(100.0).coeffs)
+
 
 class TestSolveCost:
     """Step budgets: first-order descent alone needs about 10^5 steps on this
@@ -594,6 +615,15 @@ class TestSolveCost:
         # cold rows take 6, 5, 15, 15, 15 steps (12, 14, 15, 15, 15 from the
         # ring bump alone); continued rows take 6, 7, 7, 9, 10
         assert sum(sol.iterations for _, sol in table2) < 56
+
+    def test_table1_continues_in_few_steps(self, basis, params, table1):
+        # rows take 4, 6, 6, 5, 5, 5 steps; each row after the first starts
+        # from the thin wall, which has a lower F than the previous row's
+        # minimizer. Started from that minimizer they took 4, 14, 8, 10, 11, 14
+        for q0, sol in table1[0]:
+            assert sol.converged, q0
+            certify_minimum(basis, params, sol, q0)
+        assert sum(sol.iterations for _, sol in table1[0]) <= 35
 
     def test_wide_disk_winding_sweep_continues_in_few_steps(self):
         # at p=40 cold rows take 6, 5, 10, 36, 38 steps; continued rows 6, 7, 7, 9, 10

@@ -1,11 +1,29 @@
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qvortex import SolveConfig, dense_profile, minimize_on_sphere, sweep_n, sweep_q0
+from qvortex import (
+    ModelParams,
+    SolveConfig,
+    build_basis,
+    build_grid,
+    dense_profile,
+    minimize_on_sphere,
+    sweep_n,
+    sweep_q0,
+)
+
+
+@functools.cache
+def basis_at(p):
+    """The default-resolution basis on the disk of radius p (n-independent)."""
+    return build_basis(ModelParams(p=p), 60, build_grid(p, panels=48, order_per_panel=8))
 
 
 class TestSweepQ0:
@@ -22,9 +40,27 @@ class TestSweepQ0:
         assert all(sol.phi_max < 1.1547005383792515 for sol in sols)
 
     def test_warm_and_cold_agree(self, table1, solve):
-        # warm rows start from the previous row's minimizer, solve() from the ring bump
+        # warm rows start from the previous row's minimizer or the thin wall,
+        # solve() from the lowest of the three cold candidates
         for q0, warm in table1[0][:3]:
             assert warm.omega_sq == pytest.approx(solve(q0).omega_sq, abs=1e-4)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        p=st.sampled_from([8.0, 12.0, 20.0, 40.0]),
+        log_q0=st.lists(st.floats(math.log(5.0), math.log(5000.0)), min_size=2, max_size=2),
+    )
+    def test_continued_row_lands_on_the_cold_minimum(self, n, p, log_q0):
+        # no branch jump: the second row, started from the lower of the first
+        # row's minimizer and the thin wall, finds the cold solve's frequency
+        low, high = sorted(math.exp(v) for v in log_q0)
+        assume(low < high)
+        params, basis = ModelParams(n=n, p=p), basis_at(p)
+        first, second = sweep_q0(params, basis, [low, high], SolveConfig(q0=low))
+        cold = minimize_on_sphere(basis, params, SolveConfig(q0=high))
+        assert first.converged and second.converged and cold.converged
+        assert second.omega_sq == pytest.approx(cold.omega_sq, rel=1e-6)
 
     def test_row_failures_recorded_and_sweep_continues(self, params, basis):
         solutions = sweep_q0(
