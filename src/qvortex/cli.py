@@ -15,26 +15,27 @@ oracle-compare : spectral vs finite-difference solver at one (n, q0);
 
 Configuration is a flat key=value text file, overridable per key with
 --set key=value and then with the dedicated flags --m, --n, --seed and
---out. A config-file line and a --set item are read by one rule; an error
-in a file line is prefixed with path:line:. The keys and their defaults
-are CONFIG_DEFAULTS: the fields of ModelParams, the discretization, the
-numeric options of SolveConfig, and output_dir. The sweep commands
-table1, table2 and dispersion run one body: build the basis, sweep, write
-one CSV, and exit 1 naming every row that did not converge. Every CSV and
-JSON file echoes the package version and the fully resolved configuration,
-and outputs are byte-deterministic for a fixed configuration and seed:
-floats are written with 17 significant digits (lossless for doubles) and
-nothing time- or host-dependent is emitted. Every command's output was also
-byte-identical under 1 and 2 OpenBLAS threads (scipy-openblas 0.3.31, 2
-vCPUs), apart from the output_dir echo; other BLAS builds and thread counts
-are not measured.
+--out. A config-file line and a --set item are read by one rule; an
+error in a file line is prefixed with path:line:. The keys and their
+defaults are CONFIG_DEFAULTS: the fields of ModelParams, the basis size,
+the numeric options of SolveConfig, and output_dir. The basis size m is
+the one resolution number: every command integrates on ceil(4m/5) panels
+of 8 Gauss points (build_grid's default order), 48 panels at the default
+m = 60. The sweep commands table1, table2 and dispersion run one body:
+build the basis, sweep, write one CSV, and exit 1 naming every row that
+did not converge. Every CSV and JSON file echoes the package version and
+the fully resolved configuration, and outputs are byte-deterministic for
+a fixed configuration and seed: floats are written with 17 significant
+digits (lossless for doubles) and nothing time- or host-dependent is
+emitted. Every command's output was also byte-identical under 1 and 2
+OpenBLAS threads (scipy-openblas 0.3.31, 2 vCPUs), apart from the
+output_dir echo; other BLAS builds and thread counts are not measured.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -46,7 +47,7 @@ from . import __version__
 from .basis import build_basis, evaluate_uniform, evaluate_uniform_derivatives
 from .crosscheck import BESSEL_ORDER_MAX, N_FD_MIN, bessel_first_zero, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
-from .quadrature import ORDER_PER_PANEL_MIN, build_grid
+from .quadrature import build_grid
 from .solver import (
     PROFILE_POINTS,
     SolveConfig,
@@ -63,17 +64,13 @@ __all__ = ["main"]
 TABLE1_Q0 = (10.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 TABLE2_N = (1, 2, 3, 4, 5)
 
-_GRID_DEFAULTS = inspect.signature(build_grid).parameters
-
-# The flat key table of every command: the fields of ModelParams, the
-# discretization, the numeric options of SolveConfig (q0 is a per-command
-# flag; start_coeffs is not a number), and output_dir. Defaults are taken
-# from where they are declared: the dataclasses and build_grid's signature.
+# The flat key table of every command: the fields of ModelParams, the basis
+# size, the numeric options of SolveConfig (q0 is a per-command flag;
+# start_coeffs is not a number), and output_dir. Defaults are taken from
+# where they are declared, the dataclasses. The grid follows basis_size (_build).
 CONFIG_DEFAULTS = {
     **{f.name: f.default for f in fields(ModelParams)},
     "basis_size": 60,
-    "quad_panels": _GRID_DEFAULTS["panels"].default,
-    "quad_order": _GRID_DEFAULTS["order_per_panel"].default,
     **{f.name: f.default for f in fields(SolveConfig) if isinstance(f.default, (int, float))},
     "output_dir": "out",
 }
@@ -84,7 +81,8 @@ _FLAGS = (
     ("--out", "output_dir", str, "output directory"),
     ("--seed", "rng_seed", int,
      "rng seed >= 0 for verify's gradient-check points and for restarts > 0"),
-    ("--m", "basis_size", int, "basis size"),
+    ("--m", "basis_size", int,
+     "basis size m; the grid follows it, ceil(4m/5) panels of 8 Gauss points"),
     ("--n", "n", int, "winding number"),
 )
 
@@ -136,8 +134,6 @@ def resolve_config(args):
         q0=1.0, **{f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
     )
     check_positive_int("basis_size", values["basis_size"])
-    check_positive_int("quad_panels", values["quad_panels"])
-    check_positive_int("quad_order", values["quad_order"], minimum=ORDER_PER_PANEL_MIN)
     _check_flags(args, params)
     return values, params, config
 
@@ -206,8 +202,9 @@ def _write_json(path, cfg, extra, payload):
 
 
 def _build(cfg, params):
-    grid = build_grid(params.p, cfg["quad_panels"], cfg["quad_order"])
-    return build_basis(params, cfg["basis_size"], grid)
+    """The basis of m = basis_size modes on ceil(4m/5) panels of build_grid's default order."""
+    m = cfg["basis_size"]
+    return build_basis(params, m, build_grid(params.p, panels=-(-4 * m // 5)))
 
 
 def cmd_solve(cfg, params, solve, args):

@@ -1,5 +1,5 @@
-import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import qvortex
-from qvortex import ModelParams, SolveConfig, build_grid, dense_profile, fd_minimize
+from qvortex import (
+    ModelParams,
+    SolveConfig,
+    build_basis,
+    build_grid,
+    dense_profile,
+    fd_minimize,
+    minimize_on_sphere,
+)
 import qvortex.cli
 from qvortex.cli import CONFIG_DEFAULTS, _coerce, _oracle_agreement, main
 
@@ -91,6 +99,16 @@ class TestSolveCommand:
         )
         assert rc == 1
         assert "converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", [60, 129, 240])
+    def test_grid_follows_the_basis_size(self, tmp_path, m):
+        # --m alone sets the resolution: the solve runs on ceil(4m/5) panels
+        # of build_grid's default order (48 panels at the default m = 60)
+        assert run("solve", "--m", str(m), "--out", str(tmp_path)) == 0
+        omega_sq = json.loads((tmp_path / "solution.json").read_text())["omega_sq"]
+        params = ModelParams()
+        basis = build_basis(params, m, build_grid(20.0, panels=math.ceil(4 * m / 5)))
+        assert omega_sq == minimize_on_sphere(basis, params, SolveConfig(q0=100.0)).omega_sq
 
     def test_unwritable_output_is_a_write_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -231,9 +249,19 @@ class TestVerifyCommand:
         (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("gradient_fd")]
         assert float(line.rsplit(" ", 1)[1].rstrip(")")) < 1e-11
 
-    def test_coarse_grid_fails_orthonormality(self, tmp_path, capsys):
-        assert run("verify", "--out", str(tmp_path), "--set", "quad_panels=2") == 1
-        assert "orthonormality: FAIL" in capsys.readouterr().out
+    def test_coarse_grid_fails_orthonormality(self, tmp_path, capsys, monkeypatch):
+        # the failure build_basis raises when the grid cannot keep the modes apart
+        def failing(*args):
+            raise RuntimeError("Gram-Schmidt pivot not positive; quadrature grid too coarse")
+
+        monkeypatch.setattr(qvortex.cli, "build_basis", failing)
+        assert run("verify", "--out", str(tmp_path)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("orthonormality: FAIL (Gram-Schmidt pivot not positive")
+        assert lines[1:] == [
+            f"{name}: FAIL (skipped: basis unavailable)"
+            for name in ("gradient_fd", "bounds", "decay", "linear_limit", "oracle_cross")
+        ]
 
     def test_negative_winding_passes(self, tmp_path):
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
@@ -320,8 +348,6 @@ class TestConfigResolution:
             "restarts=-1",
             "rng_seed=-1",
             "grad_tol=0",
-            "quad_order=0",
-            "quad_panels=0",
             "basis_size=0",
             "max_iter=1e3",
             "n=abc",
@@ -331,6 +357,14 @@ class TestConfigResolution:
         assert run("solve", "--set", setting, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error [config]: {setting.split('=')[0]} ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("setting", ["quad_panels=48", "quad_order=8"])
+    def test_grid_keys_are_unknown(self, tmp_path, capsys, setting):
+        # the grid follows basis_size; its panels and order are no config keys
+        assert run("solve", "--set", setting, "--out", str(tmp_path)) == 2
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err == f"error [config]: unknown config key {key!r}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
@@ -357,13 +391,10 @@ class TestConfigResolution:
     def test_keys_and_defaults_come_from_their_declarations(self):
         assert list(CONFIG_DEFAULTS) == [
             "lam", "a_pot", "b", "n", "p",
-            "basis_size", "quad_panels", "quad_order",
+            "basis_size",
             "grad_tol", "max_iter", "restarts", "rng_seed",
             "output_dir",
         ]
-        grid = inspect.signature(build_grid).parameters
-        assert CONFIG_DEFAULTS["quad_panels"] == grid["panels"].default
-        assert CONFIG_DEFAULTS["quad_order"] == grid["order_per_panel"].default
         model, solve = ModelParams(), SolveConfig(q0=1.0)
         for name, default in CONFIG_DEFAULTS.items():
             for source in (model, solve):

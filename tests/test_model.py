@@ -146,6 +146,39 @@ class TestPStar:
         assert bounds.p_star_omega_sq == pytest.approx(1.2, abs=1e-14)
         assert bounds.p_star == pytest.approx(expected, rel=1e-12)
 
+    def test_coefficients_match_a_symbolic_derivation(self):
+        # the trial action integrated piece by piece: the inner ramp (bounded
+        # in p), the plateau [1, p-1], and the outer ramp in s = p - rho
+        # without its O(1/p) centrifugal part; U - omega_sq*phi^2/2 is
+        # lam*(phi^6 - a*phi^4 + c*phi^2) with c = b - omega_sq/(2*lam)
+        sp = pytest.importorskip("sympy")
+        p, rho, s, lam, a, n = sp.symbols("p rho s lam a n", positive=True)
+        c = sp.Symbol("c", real=True)
+        t = sp.sqrt(a / 2)
+
+        def well(phi):
+            return lam * (phi**6 - a * phi**4 + c * phi**2)
+
+        inner = sp.integrate(rho * (t**2 / 2 + well(t * rho)) + n**2 * t**2 * rho / 2,
+                             (rho, 0, 1))
+        plateau = sp.integrate(rho * well(t) + n**2 * t**2 / (2 * rho), (rho, 1, p - 1))
+        outer = sp.integrate((p - s) * (t**2 / 2 + well(t * s)), (s, 0, 1))
+        action = sp.expand(inner + plateau + outer)
+        coef_c = action.coeff(sp.log(p - 1))
+        poly = sp.Poly(sp.expand(action - coef_c * sp.log(p - 1)), p)
+        coef_a, coef_b = -poly.coeff_monomial(p**2), poly.coeff_monomial(p)
+        assert poly.degree() == 2
+        assert sp.expand(coef_a - a * lam * (a**2 - 4 * c) / 16) == 0
+        assert sp.expand(coef_b - a * (39 * a**2 * lam - 140 * c * lam + 105) / 420) == 0
+        assert sp.expand(coef_c - a * n**2 / 4) == 0
+        ratio = (coef_b + coef_c) / coef_a
+        for omega_sq in (0.8, 1.2, 1.6):
+            c_value = PARAMS.b - omega_sq / (2.0 * PARAMS.lam)
+            values = {lam: PARAMS.lam, a: PARAMS.a_pot, c: c_value, n: PARAMS.n}
+            assert float(ratio.subs(values)) == pytest.approx(
+                p_star_bound(PARAMS, omega_sq), rel=1e-15
+            )
+
     def test_depends_on_evaluation_frequency(self):
         # the bound blows up toward the lower window edge and shrinks toward
         # the upper edge; near omega_sq ~ 0.467 it passes through ~17.45
