@@ -54,7 +54,6 @@ from .solver import (
     check_solution,
     gradient_fd_check,
     minimize_on_sphere,
-    residual_error_split,
 )
 from .sweep import sweep_n, sweep_q0
 from .validation import check_positive, check_positive_int
@@ -147,9 +146,11 @@ def _check_flags(args, params):
     if args.command == "dispersion":
         q0_min = check_positive("--q0-min", args.q0_min)
         q0_max = check_positive("--q0-max", args.q0_max)
-        if not q0_min < q0_max:
-            raise ValueError(f"need --q0-min < --q0-max, got {q0_min} >= {q0_max}")
-        check_positive_int("--points", args.points, minimum=2)
+        points = check_positive_int("--points", args.points, minimum=2)
+        # the sweep's own Q0 list: a range whose points round to repeats fails here
+        if not np.all(np.diff(np.geomspace(q0_min, q0_max, points)) > 0):
+            raise ValueError(f"--q0-min {q0_min}, --q0-max {q0_max} and --points {points} "
+                             "give no strictly ascending geometric Q0 list")
     if args.command == "verify":
         if abs(params.n) > BESSEL_ORDER_MAX:
             raise ValueError(f"--n must lie in -{BESSEL_ORDER_MAX}..{BESSEL_ORDER_MAX} "
@@ -220,14 +221,12 @@ def cmd_solve(cfg, params, solve, args):
     extra = {"q0": q0}
     _write_csv(out / "profile.csv", cfg, extra, table)
 
-    re_total, re_first = residual_error_split(sol.coeffs, sol.omega_sq, basis, params)
     _write_json(
         out / "solution.json", cfg, extra,
         {
             "omega_sq": sol.omega_sq,
             "phi_max": sol.phi_max,
-            "residual_error": re_total,
-            "residual_error_first_panel": re_first,
+            "residual_error": sol.residual_error,
             "f_value": sol.f_value,
             "iterations": sol.iterations,
             "converged": sol.converged,

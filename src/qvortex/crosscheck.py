@@ -37,6 +37,7 @@ __all__ = ["FdSolution", "fd_minimize", "bessel_first_zero"]
 
 N_FD_MIN = 100  # fewest grid intervals fd_minimize accepts
 BESSEL_ORDER_MAX = 10  # highest order bessel_first_zero accepts
+_FD_MAX_ITER = 100_000  # step cap of fd_minimize
 
 
 def _bessel_j(order, x):
@@ -100,7 +101,7 @@ class FdSolution:
     iterations: int
 
 
-def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
+def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7):
     """Minimize the trapezoid-discretized action at prescribed norm q0.
 
     The action
@@ -141,7 +142,6 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     q0 = check_positive("q0", q0)
     n_fd = check_positive_int("n_fd", n_fd, minimum=N_FD_MIN)
     grad_tol = check_positive("grad_tol", grad_tol)
-    max_iter = check_positive_int("max_iter", max_iter)
     p, n2, lam, a_pot, b = params.p, params.n**2, params.lam, params.a_pot, params.b
 
     h = p / n_fd
@@ -221,7 +221,7 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7, max_iter=100_000):
     eta = 1.0
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_FD_MAX_ITER):
         q_grad = c_con * phi  # half of the constraint gradient; direction only
         mu = np.dot(g, q_grad) / np.dot(q_grad, q_grad)  # multiplier estimate
         gt = g - mu * q_grad

@@ -27,8 +27,6 @@ class QuadratureGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    panels: int
-    order_per_panel: int
     p: float
 
 
@@ -53,11 +51,5 @@ def build_grid(p, panels=48, order_per_panel=8):
     starts = width * np.arange(panels)
     nodes = (starts[:, None] + 0.5 * width * (ref_nodes[None, :] + 1.0)).ravel()
     weights = np.broadcast_to(0.5 * width * ref_weights, (panels, order)).ravel()
-    return QuadratureGrid(
-        nodes=readonly(nodes),
-        weights=readonly(weights),
-        panels=panels,
-        order_per_panel=order,
-        p=p,
-    )
+    return QuadratureGrid(nodes=readonly(nodes), weights=readonly(weights), p=p)
 

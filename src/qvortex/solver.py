@@ -52,8 +52,7 @@ derivatives of the sine series sum_k c_k*sin(k*pi*rho/p), c = a @ G, taken
 term by term on the basis' raw sine and cosine tables. For
 |n| >= 2 the integrand grows like 1/rho^2 toward the origin because sine
 modes vanish only linearly there; the grid has no node at rho = 0 and the
-reported RE is understood as this grid-discretized value. The first panel's
-contribution can be split out to expose that origin sensitivity.
+reported RE is understood as this grid-discretized value.
 
 The output profile on PROFILE_POINTS uniform radii comes from one real FFT
 (basis.evaluate_uniform), summed once per solve and kept in the solution;
@@ -79,7 +78,6 @@ __all__ = [
     "PROFILE_POINTS",
     "minimize_on_sphere",
     "residual_error",
-    "residual_error_split",
     "dense_profile",
     "check_decay_envelope",
     "check_solution",
@@ -164,7 +162,8 @@ class VortexSolution:
     grad_norm: float
 
 
-def _residual_on_nodes(coeffs, omega_sq, basis, params):
+def residual_error(coeffs, omega_sq, basis, params):
+    """Normalized L2 residual of the field equation on the shared grid."""
     a = check_coeffs("coeffs", coeffs, basis.m)
     rho = basis.grid.nodes
     # phi = sum_k c_k sin(f_k rho) with c = a.G, differentiated term by term
@@ -173,33 +172,14 @@ def _residual_on_nodes(coeffs, omega_sq, basis, params):
     phi = a @ basis.psi_nodes
     dphi = c_freq @ basis.cos_nodes[1 : basis.m + 1]
     d2phi = -(c_freq * freq) @ basis.sin_nodes
-    return (
+    r = (
         d2phi
         + dphi / rho
         - params.n**2 * phi / rho**2
         + omega_sq * phi
         - potential_derivative(phi, params)
     )
-
-
-def residual_error(coeffs, omega_sq, basis, params):
-    """Normalized L2 residual of the field equation on the shared grid."""
-    r = _residual_on_nodes(coeffs, omega_sq, basis, params)
     return float(np.sqrt(np.dot(basis.grid.weights, r * r))) / basis.p
-
-
-def residual_error_split(coeffs, omega_sq, basis, params):
-    """(total RE, RE restricted to the first quadrature panel).
-
-    The first-panel share exposes origin sensitivity of the residual metric
-    for |n| >= 2, where the integrand behaves like 1/rho^2 near rho = 0.
-    """
-    r = _residual_on_nodes(coeffs, omega_sq, basis, params)
-    w = basis.grid.weights
-    total = float(np.sqrt(np.dot(w, r * r))) / basis.p
-    k = basis.grid.order_per_panel
-    first = float(np.sqrt(np.dot(w[:k], r[:k] ** 2))) / basis.p
-    return total, first
 
 
 def dense_profile(basis, coeffs):

@@ -53,6 +53,18 @@ class TestSolveCommand:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 0.0
 
+    def test_solution_json_reports_the_solve_s_own_residual(self, tmp_path, solve):
+        # one residual per solve: the file carries minimize_on_sphere's
+        # residual_error as it is, and no second residual key
+        out = tmp_path / "run"
+        assert run("solve", "--q0", "100", "--out", str(out)) == 0
+        sol = json.loads((out / "solution.json").read_text())
+        assert sorted(sol) == sorted([
+            "artifact_version", "config", "omega_sq", "phi_max", "residual_error",
+            "f_value", "iterations", "converged", "grad_norm",
+        ])
+        assert sol["residual_error"].hex() == solve(100.0).residual_error.hex()
+
     def test_profile_derivatives_match_the_direct_series(self, tmp_path, basis, solve):
         # the default configuration is the shared basis at q0 = 100: the phi
         # column is its dense profile, and phi_rho and phi_rhorho are the
@@ -378,6 +390,8 @@ class TestConfigResolution:
             ["oracle-compare", "--n-fd", "10"],
             ["verify", "--n", "11"],
             ["verify", "--n", "-11"],
+            # 1 and its float successor: the five geometric points repeat values
+            ["dispersion", "--q0-min", "1", "--q0-max", "1.0000000000000002", "--points", "5"],
         ],
     )
     def test_invalid_flag_is_a_config_error(self, tmp_path, capsys, argv):
@@ -385,7 +399,7 @@ class TestConfigResolution:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error [config]: ")
-        assert argv[1] in err
+        assert all(flag in err for flag in argv[1::2])
         assert not any(tmp_path.iterdir())
 
     def test_keys_and_defaults_come_from_their_declarations(self):

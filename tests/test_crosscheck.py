@@ -50,8 +50,7 @@ class TestFdMinimize:
             fd_minimize(params, 100.0, n_fd=50)
         with pytest.raises(ValueError):
             fd_minimize(params, -1.0)
-        for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-7}, {"max_iter": 0},
-                    {"max_iter": 2.5}):
+        for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-7}):
             with pytest.raises(ValueError):
                 fd_minimize(params, 100.0, **bad)
 

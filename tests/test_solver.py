@@ -29,7 +29,6 @@ from qvortex.solver import (
     _thin_wall_nodes,
     check_solution,
     gradient_fd_check,
-    residual_error_split,
 )
 
 
@@ -800,10 +799,3 @@ class TestResidualError:
             expected = float(np.sqrt(np.dot(basis.grid.weights, r * r))) / 20.0
             got = residual_error(a, omega_sq, basis, row_params)
             assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_split_reports_first_panel_share(self, basis, solve):
-        n3 = ModelParams(n=3)
-        sol = minimize_on_sphere(basis, n3, SolveConfig(q0=100.0))
-        total, first = residual_error_split(sol.coeffs, sol.omega_sq, basis, n3)
-        assert 0.0 <= first <= total
-        assert total == pytest.approx(residual_error(sol.coeffs, sol.omega_sq, basis, n3))
