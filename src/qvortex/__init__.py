@@ -4,11 +4,11 @@ The package computes radially symmetric profiles phi(rho) of stationary
 spinning solutions Phi = phi(rho) * exp(i*omega*t + i*n*theta) of a complex
 scalar field theory with sextic self-interaction, confined to a disk of
 radius p with Dirichlet boundary conditions. Profiles are found by
-minimizing the reduced action over a weighted-orthonormal sine basis at
-prescribed reduced norm, with the squared frequency recovered as the
-constraint's Lagrange multiplier; every closed-form bound the model imposes
-(frequency window, amplitude ceiling, norm threshold, exponential tail) is
-available as a runtime verifier.
+minimizing the reduced action over sine series of prescribed reduced norm,
+with the squared frequency recovered as the constraint's Lagrange
+multiplier; every closed-form bound the model imposes (frequency window,
+amplitude ceiling, norm threshold, exponential tail) is available as a
+runtime verifier.
 """
 
 from .basis import SpectralBasis, build_basis, evaluate_uniform, evaluate_uniform_derivatives

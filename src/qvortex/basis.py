@@ -1,32 +1,27 @@
-"""Orthonormal spectral basis built from sines by Gram-Schmidt.
+"""Raw sine basis with its Gram, stiffness and centrifugal matrices.
 
-Raw sine modes s_k(rho) = sin(k*pi*rho/p) satisfy the Dirichlet conditions
-but are not orthogonal under the weighted inner product
-
-    (u, v) = 4*pi * int_0^p rho * u(rho) * v(rho) drho,
-
-which is the natural product here because it turns the prescribed-norm
-constraint 4*pi*int(rho*phi^2) = Q0 into a plain sum of squared
-coefficients. Gram-Schmidt in mode order produces psi_j =
-sum_{k<=j} G[j,k] * s_k with (psi_i, psi_j) = delta_ij. It is computed as
-the inverse Cholesky factor: with W[j,k] = (s_j, s_k) = L @ L.T, G = inv(L)
-(Trefethen & Bau, Numerical Linear Algebra, Lectures 8 and 23). The
-lower-triangular G is the basis' defining data, so first and second
-derivatives of any expansion are available analytically through the
-sine/cosine series rather than by numerical differentiation.
+A profile is the sine series phi = sum_k c_k s_k, s_k(rho) = sin(k*pi*rho/p),
+and its raw coefficients c are the solver's coordinates. Under the weighted
+inner product (u, v) = 4*pi * int_0^p rho*u*v drho the prescribed norm
+4*pi*int(rho*phi^2) = Q0 reads c.W.c = Q0, W[j,k] = (s_j, s_k). The Cholesky
+factorization W = L @ L.T guards against a grid too coarse to keep the modes
+independent: diag(L) are the pivots of Gram-Schmidt in mode order (Trefethen
+& Bau, Numerical Linear Algebra, Lectures 8 and 23). Derivatives of an
+expansion are summed analytically from the sine/cosine series.
 
 Off the quadrature grid an expansion is summed as the sine series
-sum_k c_k sin(k*x), x = pi*rho/p, with c = coeffs @ G, on a uniform grid
-rho_i = i*p/J (the solver's output profile and the finite-difference
-oracle's grid). There phi is a type-I discrete sine transform and phi' a
-cosine transform, so evaluate_uniform takes all J + 1 values of phi, and
+sum_k c_k sin(k*x), x = pi*rho/p, on a uniform grid rho_i = i*p/J (the
+solver's output profile and the finite-difference oracle's grid). There phi
+is a type-I discrete sine transform and phi' a cosine transform, so
+evaluate_uniform takes all J + 1 values of phi, and
 evaluate_uniform_derivatives those of phi' and phi'', from one real FFT of
 length 2J (Press et al., Numerical Recipes, 3rd ed., Sec. 12.4).
 
-Two Galerkin matrices are precomputed on the shared quadrature grid:
+Three Galerkin matrices are precomputed on the shared quadrature grid:
 
-    K[i,j] = int rho * psi_i' * psi_j' drho      (stiffness)
-    C[i,j] = int psi_i * psi_j / rho drho        (centrifugal, n-independent)
+    W[i,j] = 4*pi * int rho * s_i * s_j drho   (Gram, the norm's metric)
+    K[i,j] = int rho * s_i' * s_j' drho        (stiffness)
+    C[i,j] = int s_i * s_j / rho drho          (centrifugal, n-independent)
 
 All inner products use the grid, including C, which has no elementary
 closed form. The basis keeps one trigonometric table at the nodes:
@@ -38,19 +33,19 @@ By sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2 and
 cos(j*x)*cos(k*x) = [cos((j-k)*x) + cos((j+k)*x)]/2, any weighted product
 of two sine modes, or of two cosine modes, is a Toeplitz minus (plus) Hankel
 matrix of the cosine moments M_l = sum_i v_i*cos(l*x_i) of the weights v
-(Olver & Townsend, SIAM Rev. 55 (2013) 462). So the raw Gram matrix W and
-the raw K come from the moments of w*rho and the raw C from those of w/rho,
-one (2m + 1) x N x 2 product and no m x N x m product, and the
-solver's Hessian comes from the moments of its curvature weights. The
-derivatives of the basis functions are not tabulated: with c = a @ G, an
-expansion's phi' and phi'' at the nodes are sum_k c_k*f_k*cos(k*x) and
--sum_k c_k*f_k^2*sin(k*x), f_k = k*pi/p, summed on the same table.
+(Olver & Townsend, SIAM Rev. 55 (2013) 462). So W and K come from the
+moments of w*rho and C from those of w/rho, one (2m + 1) x N x 2 product
+and no m x N x m product, and the solver's Hessian comes from the moments
+of its curvature weights. The derivatives of the basis functions are not
+tabulated: an expansion's phi' and phi'' at the nodes are
+sum_k c_k*f_k*cos(k*x) and -sum_k c_k*f_k^2*sin(k*x), f_k = k*pi/p, summed
+on the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,53 +66,58 @@ _TOO_COARSE = "quadrature grid too coarse to keep the sine modes independent"
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Orthonormalized sine basis with precomputed Galerkin matrices.
+    """Sine basis with precomputed Galerkin matrices W, K and C.
 
-    gs_matrix is lower triangular: psi_j = sum_k gs_matrix[j, k] * s_k. It is
-    Gram-Schmidt in mode order, computed as the inverse Cholesky factor of
-    the raw modes' Gram matrix, so its diagonal is positive.
-    psi_nodes samples psi_j at the quadrature nodes (row j = function j,
-    psi_nodes = gs_matrix @ sin_nodes), stored for fast functional
-    evaluation. sin_nodes[k - 1] = sin(k*pi*rho/p), k = 1..m, and
-    cos_nodes[l] = cos(l*pi*rho/p), l = 0..2m, are the raw tables at the
-    nodes: the moments of cos_nodes give every weighted product of two sine
-    modes, and the two tables give the derivatives of an expansion.
+    w_cholesky is the lower Cholesky factor L of W = L @ L.T, and
+    pivot_ratio = min_j L_jj / sqrt(W_jj) the share of the most nearly
+    dependent mode that is independent of the lower ones.
+    sin_nodes[k - 1] = sin(k*pi*rho/p), k = 1..m, and cos_nodes[l] =
+    cos(l*pi*rho/p), l = 0..2m, are the tables at the nodes: phi =
+    c @ sin_nodes there, the moments of cos_nodes give every weighted product
+    of two sine modes, and the two tables give the derivatives of an expansion.
     """
 
     m: int
-    gs_matrix: np.ndarray
+    w_matrix: np.ndarray
     k_matrix: np.ndarray
     c_matrix: np.ndarray
     grid: QuadratureGrid
     p: float
-    psi_nodes: np.ndarray
     sin_nodes: np.ndarray
     cos_nodes: np.ndarray
-    orthonormality_residual: float
+    w_cholesky: np.ndarray
+    pivot_ratio: float
+
+    @cached_property
+    def w_cholesky_inverse(self):
+        """L^-1, W = L @ L.T: takes a gradient in c to orthonormal coordinates.
+
+        Formed on first use by one solve, as numpy has no triangular solver.
+        """
+        return freeze(np.linalg.solve(self.w_cholesky, np.eye(self.m)))
 
 
-def _inverse_cholesky(w_gram):
-    """Lower-triangular G with G @ w_gram @ G.T = I, as G = inv(L), w_gram = L @ L.T.
+def _checked_cholesky(w_gram):
+    """(L, min_j L_jj / sqrt(w_gram_jj)) for the Cholesky factor w_gram = L @ L.T.
 
-    This is Gram-Schmidt of the identity in mode order under the metric
-    w_gram, and diag(L) are its pivots. Raises when the factorization fails
-    or a pivot falls below the independence threshold, which happens only
-    when the quadrature grid is too coarse to keep the sine modes distinct.
+    Raises when the factorization fails or a pivot falls below the
+    independence threshold, which happens only when the quadrature grid is
+    too coarse to keep the sine modes distinct.
     """
     try:
         low = np.linalg.cholesky(w_gram)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"Gram-Schmidt pivot not positive ({exc}); {_TOO_COARSE}") from exc
+        raise RuntimeError(f"Cholesky pivot not positive ({exc}); {_TOO_COARSE}") from exc
     pivots = np.diag(low)
     raw_norms = np.sqrt(np.diag(w_gram))
     small = np.flatnonzero(~(pivots > _PIVOT_TOL * raw_norms))
     if small.size:
         j = small[0]
         raise RuntimeError(
-            f"Gram-Schmidt pivot {pivots[j]:.3e} below {_PIVOT_TOL:.0e} * "
+            f"Cholesky pivot {pivots[j]:.3e} below {_PIVOT_TOL:.0e} * "
             f"{raw_norms[j]:.3e} at mode {j + 1}; {_TOO_COARSE}"
         )
-    return np.linalg.inv(low)
+    return low, float(np.min(pivots / raw_norms))
 
 
 @lru_cache(maxsize=8)
@@ -166,16 +166,16 @@ def _trig_tables(x, m):
 
 
 def build_basis(params, m, grid):
-    """Orthonormalize the first m sine modes and assemble K and C.
+    """W, K and C of the first m sine modes, whose independence _checked_cholesky checks.
 
     Requires the grid to resolve mode m: at least 6 nodes per wavelength,
-    i.e. len(nodes) >= 3*m. W, K_raw and C_raw are gathered from the cosine
-    moments of w*rho and w/rho with the index pair of _product_indices. A
-    basis of modes (rho/p)*sin(k*x) keeps this assembly: the factor rho/p
-    turns each sine-sine product into moments of the weights times
-    rho^2/p^2 (the cross terms of its derivatives, sin*cos, into sine
-    moments); a mode outside the sine family, such as a corner mode chi,
-    adds one row and column by a direct O(m*N) product.
+    i.e. len(nodes) >= 3*m. W, K and C are gathered from the cosine moments
+    of w*rho and w/rho with the index pair of _product_indices. A basis of
+    modes (rho/p)*sin(k*x) keeps this assembly: the factor rho/p turns each
+    sine-sine product into moments of the weights times rho^2/p^2 (the
+    cross terms of its derivatives, sin*cos, into sine moments); a mode
+    outside the sine family, such as a corner mode chi, adds one row and
+    column by a direct O(m*N) product.
     """
     m = check_positive_int("m", m)
     if grid.p != params.p:
@@ -189,41 +189,25 @@ def build_basis(params, m, grid):
 
     freq = np.arange(1, m + 1) * (np.pi / params.p)
     cos_table, sin_table = _trig_tables(grid.nodes * (np.pi / params.p), m)
-    # half the cosine moments of w*rho (for W and K_raw) and of w/rho (for C_raw)
+    # half the cosine moments of w*rho (for W and K) and of w/rho (for C)
     half = 0.5 * grid.weights
     m_rho, m_inv = np.stack((half * grid.nodes, half / grid.nodes)) @ cos_table.T
     diff, total = _product_indices(m)
     near, far = m_rho[diff], m_rho[total]
     w_gram = (4.0 * np.pi) * (near - far)
-
-    g = _inverse_cholesky(w_gram)
-    resid = np.max(np.abs(g @ w_gram @ g.T - np.eye(m)))
-
-    k_raw = np.outer(freq, freq) * (near + far)
-    c_raw = m_inv[diff] - m_inv[total]
-    k_mat = g @ k_raw @ g.T
-    c_mat = g @ c_raw @ g.T
-    k_mat = 0.5 * (k_mat + k_mat.T)
-    c_mat = 0.5 * (c_mat + c_mat.T)
-    sin_nodes = sin_table[1:]
-
+    w_cholesky, pivot_ratio = _checked_cholesky(w_gram)
     return SpectralBasis(
         m=m,
-        gs_matrix=freeze(g),
-        k_matrix=freeze(k_mat),
-        c_matrix=freeze(c_mat),
+        w_matrix=freeze(w_gram),
+        k_matrix=freeze(np.outer(freq, freq) * (near + far)),
+        c_matrix=freeze(m_inv[diff] - m_inv[total]),
         grid=grid,
         p=params.p,
-        psi_nodes=freeze(g @ sin_nodes),
-        sin_nodes=freeze(sin_nodes),
+        sin_nodes=freeze(sin_table[1:]),
         cos_nodes=freeze(cos_table),
-        orthonormality_residual=float(resid),
+        w_cholesky=freeze(w_cholesky),
+        pivot_ratio=pivot_ratio,
     )
-
-
-def _sine_coeffs(basis, coeffs):
-    a = check_coeffs("coeffs", coeffs, basis.m)
-    return a @ basis.gs_matrix
 
 
 def _uniform_transform(rows, intervals):
@@ -248,10 +232,10 @@ def _uniform_transform(rows, intervals):
 def evaluate_uniform(basis, coeffs, intervals):
     """Profile phi at the intervals + 1 radii rho_i = i*p/intervals, by one FFT.
 
-    phi is minus the imaginary part of the transform of c = coeffs @ G (a
+    phi is minus the imaginary part of the transform of the coefficients (a
     type-I discrete sine transform). Both ends are exactly 0.
     """
-    values = -_uniform_transform(_sine_coeffs(basis, coeffs), intervals).imag
+    values = -_uniform_transform(check_coeffs("coeffs", coeffs, basis.m), intervals).imag
     values[0] = values[-1] = 0.0
     return values
 
@@ -265,7 +249,7 @@ def evaluate_uniform_derivatives(basis, coeffs, intervals):
     phi_rhorho is exactly 0, phi_rho is sum_k c_k*f_k at rho = 0 and
     sum_k (-1)^k*c_k*f_k at rho = p.
     """
-    c = _sine_coeffs(basis, coeffs)
+    c = check_coeffs("coeffs", coeffs, basis.m)
     freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
     first, second = _uniform_transform(np.stack((c * freq, c * freq**2)), intervals)
     return first.real, second.imag

@@ -1,46 +1,49 @@
-"""Constrained minimization on the coefficient sphere and its diagnostics.
+"""Constrained minimization on the sphere c.W.c = Q0 and its diagnostics.
 
-With the orthonormal basis of `qvortex.basis`, a profile phi = sum a_j psi_j
-has prescribed norm Q0 exactly when |a|^2 = Q0, so the variational problem
-becomes: minimize over the sphere of radius sqrt(Q0) the function
+A profile is the sine series phi = sum_k c_k sin(k*pi*rho/p) of
+`qvortex.basis`, with prescribed norm Q0 exactly when c.W.c = Q0, so the
+variational problem becomes: minimize on that sphere (in the metric W)
 
-    F(a) = 1/2 * a.(K + n^2 C).a + lam*b*Q0/(4*pi)
+    F(c) = 1/2 * c.(K + n^2 C).c + lam*b*Q0/(4*pi)
            + lam * int rho*(phi^6 - a_pot*phi^4) drho.
 
 The quadratic coefficient of the potential contributes only the constant
 lam*b*Q0/(4*pi) because of the constraint, so it never moves the minimizer.
-The minimizer is computed by Riemannian Newton steps on the KKT system with
-an Armijo line-search safeguard. Each step solves the bordered system
+The minimizer is computed by Riemannian Newton steps under the metric W
+(Absil, Mahony & Sepulchre, 2008, ch. 5) with an Armijo line-search
+safeguard. Each step solves the bordered system
 
-    [[H - theta*I, a], [a^T, 0]] [d; nu] = [grad_t F; 0],
+    [[H - theta*W, W.c], [c^T.W, 0]] [d; nu] = [g - theta*W.c; 0],
 
-with H the exact Hessian of F and theta = a.grad F / Q0 the current
-multiplier estimate, for a tangent direction d. The nonlinear part of H,
-psi.diag(c).psi^T for nodal curvature weights c, is summed by the
-product-to-sum identity sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2
-from the 2m + 1 cosine moments of c over the basis' cosine table
-((2m + 1) x N doubles, 372 KB at m = 60; with the sine table and
-psi_nodes the basis keeps 743 KB of node tables there), so a step costs one
-(2m + 1) x N matrix-vector product and two m x m x m products instead of
-an m x N x m product. The step reads one matrix, the reduced Hessian
-R = P.(H - theta*I).P + mu*u.u^T, P = I - u.u^T, u = a/|a|, and d = R^-1
-grad_t F where R passes Cholesky. When it fails the reduced Hessian is not
-positive definite (Newton could head for a saddle, such as an excited
-state), and the step is the eigen-modified Newton step instead: the
-eigenvalues of R are replaced by their absolute values, which keeps the
-curvature information and turns the saddle's negative directions into
-descent directions. Either way Armijo backtracking from the full step picks
-the step length, and the iterate is retracted by rescaling back to radius
-sqrt(Q0) (an exact retraction).
+with g and H the gradient and exact Hessian of F and theta = c.g/Q0 the
+current multiplier estimate, for a tangent direction d (c.W.d = 0). The
+nonlinear part of H, S.diag(v).S^T for the sine table S and nodal
+curvature weights v, is summed by the product-to-sum identity
+sin(j*x)*sin(k*x) = [cos((j-k)*x) - cos((j+k)*x)]/2 from the 2m + 1 cosine
+moments of v over the basis' cosine table ((2m + 1) x N doubles, 372 KB at
+m = 60), so a step costs one (2m + 1) x N matrix-vector product and no
+m x N x m product. The step reads one matrix, the reduced Hessian
+R = P^T.(H - theta*W).P + mu*(W.u).(W.u)^T, P = I - u.(W.u)^T,
+u = c/sqrt(c.W.c), and d = R^-1 (g - theta*W.c) where R passes Cholesky.
+When it fails the reduced Hessian is not positive definite (Newton could
+head for a saddle, such as an excited state), and the step is the
+eigen-modified Newton step instead: the eigenvalues of R, taken in
+orthonormal coordinates (L^-1.R.L^-T for W = L.L^T), are replaced by their
+absolute values, which keeps the curvature information and turns the
+saddle's negative directions into descent directions. Either way Armijo
+backtracking from the full step picks the step length, and the iterate is
+retracted by rescaling back to c.W.c = Q0 (an exact retraction). The
+stopping test measures gradients in the metric W, |v| = |L^-1.v|, as in
+orthonormal coordinates, so it does not depend on how the modes are scaled.
 
 The squared frequency is the Lagrange multiplier of the norm constraint:
 
     omega^2 = 4*pi*theta + 2*lam*b,
 
-with theta = a.grad F(a)/Q0 the multiplier estimate of the Newton step,
-taken at the solution (grad F = theta*a at a stationary point on the
-sphere). The potential's quadratic term, which F carries only as the
-constant lam*b*Q0/(4*pi), contributes the 2*lam*b.
+with theta = c.g/Q0 the multiplier estimate of the Newton step, taken at
+the solution (g = theta*W.c at a stationary point on the sphere). The
+potential's quadratic term, which F carries only as the constant
+lam*b*Q0/(4*pi), contributes the 2*lam*b.
 
 Solution quality is reported as the residual of the radial field equation,
 
@@ -48,9 +51,8 @@ Solution quality is reported as the residual of the radial field equation,
                             + omega^2 phi - U'(phi))^2 drho ),
 
 evaluated with analytic derivatives on the shared quadrature grid: the
-derivatives of the sine series sum_k c_k*sin(k*pi*rho/p), c = a @ G, taken
-term by term on the basis' raw sine and cosine tables. For
-|n| >= 2 the integrand grows like 1/rho^2 toward the origin because sine
+sine series differentiated term by term on the basis' sine and cosine
+tables. For |n| >= 2 the integrand grows like 1/rho^2 toward the origin because sine
 modes vanish only linearly there; the grid has no node at rho = 0 and the
 reported RE is understood as this grid-discretized value.
 
@@ -92,7 +94,7 @@ _ETA_MIN = 1e-18
 
 _DECAY_P0_FRACTION = 0.75  # inner radius of the decay envelope, over p
 _FD_POINTS = 10  # random points of the gradient check
-_FD_STEP = 1e-6  # its coordinate step h
+_FD_STEP = 1e-6  # the W-norm of its coordinate steps
 _DELTA_WORK_ARRAYS = 5  # m x N arrays _SphereProblem.delta can take as work
 
 
@@ -101,16 +103,19 @@ class SolveConfig:
     """Options for one constrained solve.
 
     q0           : prescribed reduced norm, > 0
-    grad_tol     : stop when |tangent grad| <= grad_tol * max(1, |grad|)
+    grad_tol     : stop when |tangent grad| <= grad_tol * max(1, |grad|),
+                   both norms in the metric W (|v|^2 = v.W^-1.v)
     max_iter     : iteration cap per descent run
-    start_coeffs : starting coefficient vector; the descent starts from
-                   the lower-F on the sphere of it and the thin-wall
+    start_coeffs : starting raw sine coefficients, of any norm; the
+                   descent starts from the lower-F, rescaled onto the
+                   sphere c.W.c = q0, of them and the thin-wall
                    profile tanh(rho)^|n| * (1 - tanh(rho - R))/2,
                    R = sqrt(q0/(pi*a_pot)) + |n|, and a tie keeps it.
                    None (default) starts from the lowest-F of the ring bump
                    rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2),
-                   the linear ground mode (lowest eigenvector of
-                   K + n^2 C) and the thin wall; a tie keeps the bump
+                   the linear ground mode (lowest generalized
+                   eigenvector of K + n^2 C against W) and the thin
+                   wall; a tie keeps the bump
     restarts     : extra descent runs, each from the kept minimizer
                    perturbed by 1% relative noise, lowest F kept;
                    0 (default) runs one descent from the start
@@ -144,11 +149,12 @@ class SolveConfig:
 class VortexSolution:
     """Converged (or best-effort) minimizer and its diagnostics.
 
-    coeffs lie on the sphere |a|^2 = q0 and are sign-normalized so the
-    profile is non-negative at its largest extremum. profile is phi at the
-    PROFILE_POINTS uniform radii of dense_profile, and phi_max its largest
-    absolute value. grad_norm is the final tangent-gradient norm, attached
-    so non-convergence is never a silent success.
+    coeffs are the sine coefficients c, on the sphere c.W.c = q0, and are
+    sign-normalized so the profile is non-negative at its largest extremum.
+    profile is phi at the PROFILE_POINTS uniform radii of dense_profile, and
+    phi_max its largest absolute value. grad_norm is the final norm of
+    g - theta*W.c in the metric W, sqrt(v.W^-1.v), attached so
+    non-convergence is never a silent success.
     """
 
     coeffs: np.ndarray
@@ -164,12 +170,12 @@ class VortexSolution:
 
 def residual_error(coeffs, omega_sq, basis, params):
     """Normalized L2 residual of the field equation on the shared grid."""
-    a = check_coeffs("coeffs", coeffs, basis.m)
+    c = check_coeffs("coeffs", coeffs, basis.m)
     rho = basis.grid.nodes
-    # phi = sum_k c_k sin(f_k rho) with c = a.G, differentiated term by term
+    # phi = sum_k c_k sin(f_k rho), differentiated term by term
     freq = np.arange(1, basis.m + 1) * (math.pi / basis.p)
-    c_freq = (a @ basis.gs_matrix) * freq
-    phi = a @ basis.psi_nodes
+    c_freq = c * freq
+    phi = c @ basis.sin_nodes
     dphi = c_freq @ basis.cos_nodes[1 : basis.m + 1]
     d2phi = -(c_freq * freq) @ basis.sin_nodes
     r = (
@@ -242,31 +248,33 @@ def check_solution(solution, q0, params):
 def gradient_fd_check(basis, params, q0, seed=0):
     """Worst componentwise relative error of the gradient vs central differences.
 
-    Samples 10 random points on the sphere |a|^2 = q0, seeded by seed, and
-    steps each coordinate by h = 1e-6 either way. Components are
+    Samples 10 points uniformly on the sphere c.W.c = q0 in its metric,
+    c = L^-T a with W = L.L^T and a random on |a|^2 = q0, seeded by seed,
+    and steps each c_i by h_i = 1e-6/sqrt(W_ii) either way, a step of
+    W-norm 1e-6. Components are
     compared relative to max(|g_i|, 1e-8 * max|g|) so near-zero entries do
     not blow up the ratio. Each central difference is one factored increment
-    F(a + h*e_i) - F(a - h*e_i) = delta(a - h*e_i, a + h*e_i), not the
+    F(c + h_i*e_i) - F(c - h_i*e_i) = delta(c - h_i*e_i, c + h_i*e_i), not the
     difference of two absolute values of F, whose cancellation would swamp
     the comparison; the m coordinate pairs of a point go to delta as one
     stack of starts and one stack of candidates. Each is divided by its
-    width as rounded, (a + h*e_i)_i - (a - h*e_i)_i: 2h would floor the
-    error at about 1e-10. The m x N arrays of every point (phi at the
+    width as rounded, (c + h_i*e_i)_i - (c - h_i*e_i)_i: 2h_i would floor the
+    error at about 3e-10. The m x N arrays of every point (phi at the
     lower points and delta's work arrays) are allocated once and reused.
     """
-    rng = np.random.default_rng(seed)
+    units = np.random.default_rng(seed).standard_normal((_FD_POINTS, basis.m))
+    units *= math.sqrt(q0) / np.linalg.norm(units, axis=1, keepdims=True)
+    points = np.linalg.solve(basis.w_cholesky.T, units.T).T
     problem = _SphereProblem(basis, params)
-    steps = _FD_STEP * np.eye(basis.m)
-    phi_lower, *work = np.empty((1 + _DELTA_WORK_ARRAYS, basis.m, problem.psi.shape[1]))
+    steps = np.diag(_FD_STEP / np.sqrt(np.diag(basis.w_matrix)))
+    phi_lower, *work = np.empty((1 + _DELTA_WORK_ARRAYS, basis.m, problem.sines.shape[1]))
     worst = 0.0
-    for _ in range(_FD_POINTS):
-        v = rng.standard_normal(basis.m)
-        a = math.sqrt(q0) * v / np.linalg.norm(v)
-        g = problem.gradient(a)
+    for c in points:
+        g = problem.gradient(c)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-        lower, upper = a - steps, a + steps
+        lower, upper = c - steps, c + steps
         width = np.diagonal(upper) - np.diagonal(lower)
-        np.matmul(lower, problem.psi, out=phi_lower)
+        np.matmul(lower, problem.sines, out=phi_lower)
         fd = problem.delta(lower, phi_lower, upper, work=work)[0] / width
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
@@ -278,9 +286,9 @@ def _ring_bump_nodes(rho, n_abs, p):
 
 
 def _project_to_basis(basis, values):
-    """Coefficients of the weighted-orthonormal projection of nodal values."""
+    """Coefficients c of the projection of nodal values: W.c = 4*pi*S.(w*rho*values)."""
     w_rho = basis.grid.weights * basis.grid.nodes
-    return 4.0 * math.pi * (basis.psi_nodes @ (w_rho * values))
+    return np.linalg.solve(basis.w_matrix, 4.0 * math.pi * (basis.sin_nodes @ (w_rho * values)))
 
 
 def _thin_wall_nodes(rho, n_abs, q0, a_pot):
@@ -301,8 +309,8 @@ def _thin_wall_radius(n_abs, q0, a_pot):
 def _initial_coeffs(basis, params, config, problem):
     """The start candidate of lowest F on the sphere.
 
-    A cold solve offers the ring bump, the linear ground mode (the lowest
-    eigenvector of K + n^2 C, the minimizer as q0 -> 0) and the thin-wall
+    A cold solve offers the ring bump, the linear ground mode (see
+    _ground_mode; the minimizer as q0 -> 0) and the thin-wall
     profile (its large-q0 shape); a configured start_coeffs takes the place
     of the first two, next to the thin wall. The candidates are compared on
     the sphere by the factored difference of _lower, and a tie keeps the
@@ -312,19 +320,18 @@ def _initial_coeffs(basis, params, config, problem):
     rho, n_abs = basis.grid.nodes, abs(params.n)
     if config.start_coeffs is not None:
         a = check_coeffs("start_coeffs", np.asarray(config.start_coeffs), basis.m)
-        if np.linalg.norm(a) == 0.0:
+        if not a.any():
             raise ValueError("the start projects to the zero vector")
         candidates = (a,)
     else:
         candidates = (
             _project_to_basis(basis, _ring_bump_nodes(rho, n_abs, basis.p)),
-            np.linalg.eigh(problem.mat)[1][:, 0],
+            _ground_mode(problem),
         )
     candidates += (
         _project_to_basis(basis, _thin_wall_nodes(rho, n_abs, config.q0, params.a_pot)),
     )
-    radius = math.sqrt(config.q0)
-    on_sphere = [a * (radius / np.linalg.norm(a)) for a in candidates]
+    on_sphere = [problem.onto_sphere(a, config.q0) for a in candidates]
     best = 0
     for k in range(1, len(candidates)):
         if _lower(problem, on_sphere[k], on_sphere[best], config.q0):
@@ -344,7 +351,7 @@ class _SphereProblem:
     lam*b*q0/(4*pi) cannot move the minimizer, so minimize_on_sphere adds
     it back only to the reported value; without it F(0) = 0, and value()
     is delta() taken from the origin. gradient() is the Euclidean gradient
-    (K + n^2 C) a + lam * int rho*phi^3*(6 phi^2 - 4 a_pot) psi.
+    (K + n^2 C) c + lam * int rho*phi^3*(6 phi^2 - 4 a_pot) s, s the sines.
 
     Near the minimizer the Armijo test must resolve decreases far below the
     roundoff of F itself, so the line search never compares two absolute
@@ -356,35 +363,41 @@ class _SphereProblem:
 
     def __init__(self, basis, params):
         self.mat = basis.k_matrix + params.n**2 * basis.c_matrix
-        self.psi = basis.psi_nodes
-        self.gs = basis.gs_matrix
+        self.gram = basis.w_matrix
+        self.to_unit = basis.w_cholesky_inverse
+        self.sines = basis.sin_nodes
         self.cos_nodes = basis.cos_nodes
         self.diff, self.total = _product_indices(basis.m)
         self.w_rho = basis.grid.weights * basis.grid.nodes
         self.lam = params.lam
         self.a_pot = params.a_pot
 
-    def phi(self, a):
-        return a @ self.psi
+    def onto_sphere(self, c, q0):
+        """c rescaled onto the sphere c.W.c = q0."""
+        return c * math.sqrt(q0 / float(c @ (self.gram @ c)))
 
-    def value(self, a):
-        return float(self.delta(np.zeros_like(a), 0.0, a)[0])
+    def phi(self, c):
+        return c @ self.sines
 
-    def gradient(self, a, phi=None):
+    def value(self, c):
+        return float(self.delta(np.zeros_like(c), 0.0, c)[0])
+
+    def gradient(self, c, phi=None):
         if phi is None:
-            phi = self.phi(a)
+            phi = self.phi(c)
         ph2 = phi * phi
-        nl = self.psi @ (self.w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * self.a_pot)))
-        return self.mat @ a + self.lam * nl
+        nl = self.sines @ (self.w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * self.a_pot)))
+        return self.mat @ c + self.lam * nl
 
     def delta(self, x, phi_x, cand, theta=0.0, work=None):
         """(F(cand) - F(x), phi(cand)) without cancellation in F.
 
         theta is the current Lagrange-multiplier estimate (x.g)/q0; the
-        difference is taken of the shifted functional F - (theta/2)*|a|^2,
+        difference is taken of the shifted functional F - (theta/2)*c.W.c,
         which coincides with F on the sphere but has no radial slope, so
         the eps-level radius drift of the retraction cannot pollute the
-        comparison. The shift changes nothing on-constraint.
+        comparison. The shift changes nothing on-constraint, and at
+        theta = 0 it is not formed.
 
         cand may also be a stack of candidates, one per row, and x (with
         phi_x) a stack of starts that broadcasts against it; the differences
@@ -392,7 +405,7 @@ class _SphereProblem:
         round exactly like plain 1-D dot and matrix-vector products, so the
         stacked form leaves the line search's arithmetic unchanged.
 
-        With v = phi_x, dphi = step @ psi the exact image of the step and
+        With v = phi_x, dphi = step @ S the exact image of the step and
         u = v + dphi, the increment of P = phi^6 - a_pot*phi^4 is the
         factored product P(u) - P(v) =
         [(u + v)*dphi] * [u^2 (u^2 + v^2 - a_pot) + v^2 (v^2 - a_pot)],
@@ -405,10 +418,12 @@ class _SphereProblem:
         """
         dphi, phi_c, factor, v2, bracket = work or (None,) * _DELTA_WORK_ARRAYS
         step = cand - x
-        dphi = np.matmul(step, self.psi, out=dphi)
+        dphi = np.matmul(step, self.sines, out=dphi)
         phi_c = np.add(phi_x, dphi, out=phi_c)
         mid = x + 0.5 * step
-        quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
+        quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0])
+        if theta:
+            quad = quad - theta * _rowdot(step, (self.gram @ mid[..., None])[..., 0])
         factor = np.add(phi_c, phi_x, out=factor)
         factor *= dphi
         u2 = np.multiply(phi_c, phi_c, out=dphi)
@@ -422,106 +437,125 @@ class _SphereProblem:
         factor *= bracket
         return quad + self.lam * (factor @ self.w_rho), phi_c
 
-    def hessian(self, a, phi=None):
-        """Exact Hessian H = K + n^2 C + G.B.G^T of F at a.
+    def hessian(self, c, phi=None):
+        """Exact Hessian H = K + n^2 C + B of F at c.
 
-        The nonlinear part is psi.diag(c).psi^T with the nodal curvature
-        weights c = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) and psi = G.S, S
-        the raw sine modes at the nodes. By sin(j*x)*sin(k*x) =
-        [cos((j-k)*x) - cos((j+k)*x)]/2, B = S.diag(c).S^T is
-        (M_|j-k| - M_j+k)/2, a Toeplitz minus a Hankel matrix of the cosine
-        moments M_l = sum_i c_i*cos(l*x_i), l = 0..2m (Olver & Townsend,
+        The nonlinear part is B = S.diag(v).S^T with the nodal curvature
+        weights v = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) and S the raw sine
+        modes at the nodes. By sin(j*x)*sin(k*x) =
+        [cos((j-k)*x) - cos((j+k)*x)]/2, B is (M_|j-k| - M_j+k)/2, a
+        Toeplitz minus a Hankel matrix of the cosine moments
+        M_l = sum_i v_i*cos(l*x_i), l = 0..2m (Olver & Townsend,
         SIAM Rev. 55 (2013) 462). That is one (2m + 1) x N matrix-vector
-        product and a gather, and G.B.G^T two m x m x m products, in place
-        of an m x N x m product.
+        product and a gather in place of an m x N x m product.
 
         A basis of modes (rho/p)*sin(k*x) keeps this form, with the moments
-        taken of c*rho^2/p^2; a mode outside the sine family, such as a
-        corner mode chi, adds one row and column, psi.(c*chi), by a direct
+        taken of v*rho^2/p^2; a mode outside the sine family, such as a
+        corner mode chi, adds one row and column, S.(v*chi), by a direct
         O(m*N) product.
         """
         if phi is None:
-            phi = self.phi(a)
+            phi = self.phi(c)
         ph2 = phi * phi
         curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
         moments = self.cos_nodes @ curv
         moments *= 0.5
         products = moments[self.diff]
         products -= moments[self.total]
-        return self.mat + self.gs @ products @ self.gs.T
+        return np.add(products, self.mat, out=products)
 
     def reduced_hessian(self, x, phi_x, theta):
-        """R = P.(H - theta*I).P + mu*u.u^T, u = x/|x|, P = I - u.u^T.
+        """R = P^T.B.P + mu*(W.u).(W.u)^T, B = H - theta*W, P = I - u.(W.u)^T.
 
-        On the tangent space R is the Riemannian Hessian of F on the sphere
-        (Absil, Mahony & Sepulchre, 2008); along u it is mu > 0, the largest
-        absolute row sum of B = H - theta*I. So R passes Cholesky exactly
-        where the reduced Hessian is positive definite, and its number of
-        negative eigenvalues is the Morse index. R is formed in place on H,
-        in O(m^2), as B - u.v^T - v.u^T with v = B.u - (u.B.u + mu)/2 * u.
+        With u = x/sqrt(x.W.x) and d = t + alpha*u, t tangent (u.W.t = 0),
+        d.R.d = t.B.t + mu*alpha^2 for any mu > 0. So R passes Cholesky
+        exactly where the Riemannian Hessian in the metric W is positive
+        definite on the tangent space, and its number of negative
+        eigenvalues is the Morse index. mu = |B|_inf * |u|^2 gives u the
+        Rayleigh quotient |B|_inf (largest absolute row sum), as orthonormal
+        modes do, so R's entries stay at B's scale.
+        R is formed in place on H, in O(m^2), as B - W.u.v^T - v.(W.u)^T,
+        v = B.u - (u.B.u + mu)/2 * W.u.
         """
         r = self.hessian(x, phi_x)
-        r.flat[:: len(x) + 1] -= theta
-        mu = float(np.max(np.sum(np.abs(r), axis=1)))
-        unit = x / math.sqrt(float(np.dot(x, x)))
+        r -= theta * self.gram
+        w_x = self.gram @ x
+        scale = 1.0 / math.sqrt(float(np.dot(x, w_x)))
+        unit, w_unit = x * scale, w_x * scale
+        mu = float(np.max(np.sum(np.abs(r), axis=1))) * float(np.dot(unit, unit))
         v = r @ unit
-        v -= 0.5 * (float(np.dot(unit, v)) + mu) * unit
-        r -= np.outer(unit, v) + np.outer(v, unit)
+        v -= 0.5 * (float(np.dot(unit, v)) + mu) * w_unit
+        r -= np.outer(w_unit, v) + np.outer(v, w_unit)
         return r
 
     def newton_direction(self, x, phi_x, gt, theta):
         """Tangent Newton step d; the iterate moves to x - d.
 
-        R = reduced_hessian maps the tangent space into itself, so where R
-        passes Cholesky, R^-1 gt is the step of the bordered KKT system
-        [[H - theta*I, x], [x^T, 0]]. The factorization only tests R: the
-        step comes from one LU solve, as numpy has no triangular solver and
-        scipy's would put scipy on the run path. Where it fails, Newton could
-        head for a saddle, and the step is |R|^-1 gt, the eigenvalues of R
-        replaced by their absolute values (floored at 1e-8 of the largest),
-        so every negative-curvature direction is descended. Either step then
-        loses its roundoff-sized component along x.
+        gt = g - theta*W.x vanishes on u, so where R = reduced_hessian passes
+        Cholesky, R^-1 gt is tangent and is the step of the bordered KKT
+        system [[H - theta*W, W.x], [x^T.W, 0]]. The factorization only tests
+        R: the step comes from one LU solve, as numpy has no triangular
+        solver and scipy's would put scipy on the run path. Where it fails,
+        Newton could head for a saddle, and the step is |R|^-1 gt in
+        orthonormal coordinates, L^-T.|L^-1.R.L^-T|^-1.L^-1.gt, W = L.L^T: the
+        eigenvalues replaced by their absolute values (floored at 1e-8 of the
+        largest), so every negative-curvature direction is descended.
+        Either step then loses its component along x, which leaves d.gt as is.
         """
         r = self.reduced_hessian(x, phi_x, theta)
         try:
             np.linalg.cholesky(r)
         except np.linalg.LinAlgError:
-            evals, evecs = np.linalg.eigh(r)
+            evals, evecs = np.linalg.eigh(self.to_unit @ r @ self.to_unit.T)
             scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
-            d = evecs @ ((evecs.T @ gt) / scale)
+            d = self.to_unit.T @ (evecs @ ((evecs.T @ (self.to_unit @ gt)) / scale))
         else:
             d = np.linalg.solve(r, gt)
-        unit = x / math.sqrt(float(np.dot(x, x)))
-        return d - float(np.dot(unit, d)) * unit
+        w_x = self.gram @ x
+        return d - (float(np.dot(w_x, d)) / float(np.dot(w_x, x))) * x
+
+
+def _ground_mode(problem):
+    """The linear ground mode, the lowest generalized eigenvector of (K + n^2 C, W).
+
+    It dominates T = (K + n^2 C)^-1 W, one LU solve. Six squarings, each
+    rescaled by its largest entry, give T^64, whose columns lie along it to
+    roundoff where (lambda_1/lambda_2)^64 does: lambda_1/lambda_2 =
+    (j_n,1/j_n,2)^2 is at most 0.58 for n <= 8.
+    """
+    power = np.linalg.solve(problem.mat, problem.gram)
+    for _ in range(6):
+        power = power @ power
+        power /= np.max(np.abs(power))
+    return power[:, 0]
 
 
 def _descend(x0, q0, problem, grad_tol, max_iter, callback):
-    """Descent on the sphere along the (eigen-modified) Newton-KKT step."""
-    radius = math.sqrt(q0)
-    x = x0 * (radius / np.linalg.norm(x0))
+    """Descent on the sphere c.W.c = q0 along the (eigen-modified) Newton-KKT step."""
+    x = problem.onto_sphere(x0, q0)
     phi_x = problem.phi(x)
     f_led = 0.0 if callback is None else problem.value(x)  # only the callback reads it
     g = problem.gradient(x, phi_x)
     iterations = 0
     while True:
-        unit = x / radius
-        gt = g - np.dot(g, unit) * unit
-        gt_norm = float(np.linalg.norm(gt))
+        theta = float(np.dot(x, g)) / q0
+        gt = g - theta * (problem.gram @ x)
+        gt_unit = problem.to_unit @ gt
+        gt_norm = float(np.linalg.norm(gt_unit))
         if iterations and callback is not None:  # every later pass follows a step
             callback(iterations, x.copy(), f_led, gt_norm)
-        converged = gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(g)))
+        converged = gt_norm <= grad_tol * max(1.0, float(np.linalg.norm(problem.to_unit @ g)))
         if converged or iterations >= max_iter:
             break
-        theta = float(np.dot(x, g)) / q0
         d = problem.newton_direction(x, phi_x, gt, theta)
         if np.dot(d, gt) <= 0.0:
-            d = gt  # roundoff cost the descent property; take steepest descent
+            # roundoff cost the descent property; take steepest descent in W
+            d = problem.to_unit.T @ gt_unit
         slope = float(np.dot(d, gt))
         eta = 1.0
         accepted = False
         while eta > _ETA_MIN:
-            y = x - eta * d
-            cand = y * (radius / np.linalg.norm(y))
+            cand = problem.onto_sphere(x - eta * d, q0)
             df, phi_c = problem.delta(x, phi_x, cand, theta)
             if df <= -_ARMIJO_C1 * eta * slope:
                 accepted = True
@@ -549,7 +583,7 @@ def _lower(problem, cand, x, q0):
 
 
 def minimize_on_sphere(basis, params, config, callback=None):
-    """Minimize F on the sphere |a|^2 = q0 and assemble the solution record.
+    """Minimize F on the sphere c.W.c = q0 and assemble the solution record.
 
     Runs one descent from the start candidate of lowest F (see
     SolveConfig.start_coeffs), then `restarts` reruns
@@ -557,7 +591,7 @@ def minimize_on_sphere(basis, params, config, callback=None):
     noise seeded by rng_seed, and keeps the lowest final F. Both the start
     candidates and the runs are compared by the factored difference of
     _lower, so without a callback F itself is evaluated once, for f_value.
-    omega_sq is the constraint's multiplier, 4*pi*(a.grad F(a))/q0 +
+    omega_sq is the constraint's multiplier, 4*pi*(c.grad F(c))/q0 +
     2*lam*b at the kept minimizer, and f_value is F there. The profile on
     the PROFILE_POINTS output radii is summed once, for the sign
     normalization, and kept in the solution. The callback, when given,

@@ -152,18 +152,24 @@ def test_criterion_09_oracle_equivalence(basis, params, solve):
 
 def test_criterion_10_numerical_hygiene(basis, params, grid, solve):
     fd_err = gradient_fd_check(basis, params, q0=100.0, seed=0)
-    ortho = basis.orthonormality_residual
+    # Gram-Schmidt of the modes as the inverse Cholesky factor of W, and its
+    # smallest pivot over the mode's raw norm, which build_basis guards
+    gs = np.linalg.solve(basis.w_cholesky, np.eye(basis.m))
+    ortho = float(np.max(np.abs(gs @ basis.w_matrix @ gs.T - np.eye(basis.m))))
     drifts = []
     minimize_on_sphere(
         basis, params, SolveConfig(q0=100.0),
-        callback=lambda _i, a, _f, _g: drifts.append(abs(float(a @ a) - 100.0) / 100.0),
+        callback=lambda _i, c, _f, _g: drifts.append(
+            abs(float(c @ basis.w_matrix @ c) - 100.0) / 100.0
+        ),
     )
     big = build_basis(params, 120, grid)
     sol_big = minimize_on_sphere(big, params, SolveConfig(q0=100.0))
     d_omega = abs(sol_big.omega_sq - solve(100.0).omega_sq)
     ok = fd_err < 1e-4 and ortho < 1e-8 and max(drifts) < 1e-12 and d_omega < 1e-3
     check(10, "numerical hygiene", ok,
-          f"grad fd {fd_err:.2e}, ortho {ortho:.2e}, drift {max(drifts):.2e}, "
+          f"grad fd {fd_err:.2e}, ortho {ortho:.2e}, pivot ratio {basis.pivot_ratio:.2e}, "
+          f"drift {max(drifts):.2e}, "
           f"m-refinement d_omega {d_omega:.2e}")
 
 

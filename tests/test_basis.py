@@ -12,7 +12,7 @@ from qvortex import (
     evaluate_uniform,
     evaluate_uniform_derivatives,
 )
-from qvortex.basis import _inverse_cholesky
+from qvortex.basis import _checked_cholesky
 
 
 def rand_coeffs(m, radius=10.0, seed=7):
@@ -23,21 +23,39 @@ def rand_coeffs(m, radius=10.0, seed=7):
 
 class TestBuildBasis:
     def test_first_mode_normalization(self, basis):
-        # 1/sqrt(4*pi * P^2/4) = 1/(P*sqrt(pi))
-        assert basis.gs_matrix[0, 0] == pytest.approx(
-            1.0 / (20.0 * math.sqrt(math.pi)), rel=1e-10
-        )
+        # 4*pi * int rho*sin(pi*rho/P)^2 = 4*pi * P^2/4 = pi*P^2
+        assert basis.w_matrix[0, 0] == pytest.approx(math.pi * 20.0**2, rel=1e-10)
 
-    def test_lower_triangular(self, basis):
-        assert np.allclose(basis.gs_matrix, np.tril(basis.gs_matrix))
+    def test_pivot_ratio_is_the_smallest_gram_schmidt_pivot(self, basis):
+        # Gram-Schmidt of the weighted sine table in mode order, by Householder
+        # QR: |R_jj| is the part of mode j independent of modes 1..j-1
+        w_rho = basis.grid.weights * basis.grid.nodes
+        table = np.sqrt(4.0 * math.pi * w_rho)[:, None] * basis.sin_nodes.T
+        r = np.linalg.qr(table, mode="r")
+        expected = np.min(np.abs(np.diag(r)) / np.linalg.norm(table, axis=0))
+        assert basis.pivot_ratio == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < basis.pivot_ratio < 1.0
+
+    def test_cholesky_factor_reproduces_the_metric(self, basis):
+        low = basis.w_cholesky
+        assert np.array_equal(low, np.tril(low)) and np.all(np.diag(low) > 0.0)
+        assert np.max(np.abs(low @ low.T - basis.w_matrix)) < 1e-13 * np.max(basis.w_matrix)
+        ratio = np.min(np.diag(low) / np.sqrt(np.diag(basis.w_matrix)))
+        assert basis.pivot_ratio == ratio
 
     @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
     def test_orthonormality_residual(self, params, m, panels):
+        # the inverse Cholesky factor of W orthonormalizes the modes sampled
+        # with np.sin: measured 1.1e-14 (m=60) and 2.5e-14 (m=180)
         built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
-        assert built.orthonormality_residual < 1e-8
-        g = built.gs_matrix
-        assert np.array_equal(g, np.tril(g))
-        assert np.all(np.diag(g) > 0.0)
+        w_rho = built.grid.weights * built.grid.nodes
+        freq = np.arange(1, m + 1) * (math.pi / 20.0)
+        sines = np.sin(freq[:, None] * built.grid.nodes)
+        g = np.linalg.solve(built.w_cholesky, np.eye(m))
+        psi = g @ sines
+        gram = 4.0 * math.pi * (psi * w_rho) @ psi.T
+        assert np.max(np.abs(gram - np.eye(m))) < 1e-8
+        assert built.pivot_ratio > 0.0
 
     @pytest.mark.parametrize("m, panels", [(60, 48), (180, 72)])
     def test_cosine_table(self, params, m, panels):
@@ -53,15 +71,17 @@ class TestBuildBasis:
         assert np.max(np.abs(built.sin_nodes - np.sin(np.arange(1, m + 1)[:, None] * x))) < 1e-12
 
     def test_outputs_read_only(self, basis):
-        for name in ("gs_matrix", "k_matrix", "c_matrix", "psi_nodes", "sin_nodes", "cos_nodes"):
+        for name in ("w_matrix", "k_matrix", "c_matrix", "sin_nodes", "cos_nodes", "w_cholesky"):
             arr = getattr(basis, name)
             assert not arr.flags.writeable, name
             assert arr.flags.c_contiguous and arr.dtype == np.float64, name
 
-    def test_gram_matrix_is_identity(self, basis):
+    def test_gram_matrix_is_the_norm_metric(self, basis):
+        # the moments' W against the direct product of the sine table: a
+        # coefficient vector's norm 4*pi*int(rho*phi^2) is c.W.c
         w_rho = basis.grid.weights * basis.grid.nodes
-        gram = 4.0 * math.pi * (basis.psi_nodes * w_rho) @ basis.psi_nodes.T
-        assert np.max(np.abs(gram - np.eye(basis.m))) < 1e-8
+        gram = 4.0 * math.pi * (basis.sin_nodes * w_rho) @ basis.sin_nodes.T
+        assert np.max(np.abs(gram - basis.w_matrix)) < 1e-8 * np.max(np.abs(gram))
 
     def test_orthogonalization_cancels_raw_overlap(self, params, grid):
         two = build_basis(params, 2, grid)
@@ -71,26 +91,29 @@ class TestBuildBasis:
         raw = 4.0 * math.pi * np.dot(w_rho, s1 * s2)
         # closed form -(32/9)*P^2/pi; nonzero by a wide margin
         assert raw == pytest.approx(-(32.0 / 9.0) * 400.0 / math.pi, rel=1e-8)
-        pair = 4.0 * math.pi * np.dot(w_rho, (two.gs_matrix[0] @ [s1, s2]) * (two.gs_matrix[1] @ [s1, s2]))
+        assert two.w_matrix[0, 1] == pytest.approx(raw, rel=1e-8)
+        # one Gram-Schmidt step in the metric W leaves s2 - (W_01/W_00)*s1
+        # orthogonal to s1
+        second = s2 - (two.w_matrix[0, 1] / two.w_matrix[0, 0]) * s1
+        pair = 4.0 * math.pi * np.dot(w_rho, s1 * second)
         assert abs(pair) < 1e-10
 
     def test_matrices_symmetric_positive_definite(self, basis):
-        assert np.max(np.abs(basis.k_matrix - basis.k_matrix.T)) < 1e-12
-        assert np.max(np.abs(basis.c_matrix - basis.c_matrix.T)) < 1e-12
-        assert np.linalg.eigvalsh(basis.k_matrix)[0] > 0.0
-        assert np.linalg.eigvalsh(basis.c_matrix)[0] > 0.0
+        for mat in (basis.w_matrix, basis.k_matrix, basis.c_matrix):
+            assert np.max(np.abs(mat - mat.T)) < 1e-12
+            assert np.linalg.eigvalsh(mat)[0] > 0.0
 
     def test_matrices_match_direct_recomputation(self, params):
-        # K and C from the cosine moments against the products of psi' and psi
-        # sampled with np.cos and np.sin; measured worst for K: 9e-15 (m=60)
-        # and 2.2e-14 (m=180) of its largest entry
+        # K and C from the cosine moments against the products of s' and s
+        # sampled with np.cos and np.sin; measured worst for K: 9.9e-15 (m=60)
+        # and 2.1e-14 (m=180) of its largest entry
         for m, panels in [(60, 48), (180, 72)]:
             built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
             w = built.grid.weights
             rho = built.grid.nodes
             freq = np.arange(1, m + 1) * (math.pi / 20.0)
-            dpsi = (built.gs_matrix * freq) @ np.cos(freq[:, None] * rho)
-            psi = built.gs_matrix @ np.sin(freq[:, None] * rho)
+            dpsi = freq[:, None] * np.cos(freq[:, None] * rho)
+            psi = np.sin(freq[:, None] * rho)
             k_direct = (dpsi * (w * rho)) @ dpsi.T
             c_direct = (psi * (w / rho)) @ psi.T
             assert np.max(np.abs(k_direct - built.k_matrix)) < 1e-13 * np.max(np.abs(k_direct))
@@ -98,9 +121,13 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_eigenvalue_matches_bessel_zero(self, params, grid, n):
+        # the lowest eigenvalue of the pencil (K + n^2 C, W), W = L.L^T, is
+        # that of L^-1.(K + n^2 C).L^-T
         small = build_basis(params, 40, grid)
         mat = small.k_matrix + n**2 * small.c_matrix
-        mu = np.linalg.eigvalsh(mat)[0]
+        low = small.w_cholesky
+        half = np.linalg.solve(low, mat)
+        mu = np.linalg.eigvalsh(np.linalg.solve(low, half.T))[0]
         expected = (bessel_first_zero(n) / 20.0) ** 2 / (4.0 * math.pi)
         assert mu == pytest.approx(expected, rel=0.01)
 
@@ -115,7 +142,7 @@ class TestBuildBasis:
 
     def test_degenerate_metric_pivot_error(self):
         with pytest.raises(RuntimeError, match="pivot not positive.*too coarse"):
-            _inverse_cholesky(np.ones((3, 3)))
+            _checked_cholesky(np.ones((3, 3)))
         # w = L @ L.T for L the identity except its last row (1, 0, .., t, s)
         # with s**2 = 2**-40 - t**2 ~ 2**-91: positive definite, and the
         # blocked factorization subtracts the 1 and the t**2 from w[-1, -1]
@@ -127,7 +154,7 @@ class TestBuildBasis:
         w[-2, -1] = w[-1, -2] = t
         w[-1, -1] = 1.0 + 2.0**-40
         with pytest.raises(RuntimeError, match="pivot 2.0..e-14 below .* mode 64; .*too coarse"):
-            _inverse_cholesky(w)
+            _checked_cholesky(w)
 
 
 def direct_tables(m, intervals):
@@ -152,18 +179,17 @@ class TestEvaluate:
     def test_single_mode_midpoint(self, basis):
         e1 = np.zeros(basis.m)
         e1[0] = 1.0
-        assert evaluate_uniform(basis, e1, 2000)[1000] == pytest.approx(
-            basis.gs_matrix[0, 0], rel=1e-14
-        )
+        # sin(pi/2) = 1
+        assert evaluate_uniform(basis, e1, 2000)[1000] == pytest.approx(1.0, rel=1e-14)
 
     def test_norm_identity(self, basis):
-        # 4*pi*int(rho*phi^2) equals the squared coefficient norm
+        # 4*pi*int(rho*phi^2) equals the coefficients' norm c.W.c
         for seed, radius in [(0, 1.0), (1, 10.0), (2, math.sqrt(1000.0))]:
-            a = rand_coeffs(basis.m, radius, seed)
+            c = rand_coeffs(basis.m, radius, seed)
             w_rho = basis.grid.weights * basis.grid.nodes
-            phi = a @ basis.psi_nodes
+            phi = c @ basis.sin_nodes
             q = 4.0 * math.pi * np.dot(w_rho, phi * phi)
-            assert q == pytest.approx(float(a @ a), rel=1e-8)
+            assert q == pytest.approx(float(c @ basis.w_matrix @ c), rel=1e-8)
 
     def test_out_of_range_rejected(self, basis):
         # the number of intervals must be a positive integer
@@ -186,9 +212,8 @@ class TestEvaluateUniform:
         # intervals=16 past the FFT length 2*intervals, so they are folded;
         # measured worst 1.3e-15 of sum |c_k|
         sin_tab, _ = direct_tables(basis.m, intervals)
-        for a in (solve(100.0).coeffs, rand_coeffs(basis.m)):
-            c = a @ basis.gs_matrix
-            values = evaluate_uniform(basis, a, intervals)
+        for c in (solve(100.0).coeffs, rand_coeffs(basis.m)):
+            values = evaluate_uniform(basis, c, intervals)
             assert values.shape == (intervals + 1,)
             assert values[0] == 0.0 and values[-1] == 0.0
             assert np.max(np.abs(values - sin_tab @ c)) <= 1e-13 * np.sum(np.abs(c))
@@ -236,13 +261,12 @@ class TestEvaluateDerivatives:
     def test_endpoints_give_the_series_limits(self, basis):
         # phi = sum c_k sin(k*pi*rho/p): at rho = 0 the first derivative is
         # sum c_k*f_k and the second vanishes; at rho = p the signs alternate
-        a = rand_coeffs(basis.m)
-        c = a @ basis.gs_matrix
+        c = rand_coeffs(basis.m)
         freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
         sign = (-1.0) ** np.arange(1, basis.m + 1)
         scale = float(np.sum(np.abs(c * freq**2)))
         for intervals in (2000, 45, 16):
-            d1, d2 = evaluate_uniform_derivatives(basis, a, intervals)
+            d1, d2 = evaluate_uniform_derivatives(basis, c, intervals)
             np.testing.assert_allclose(
                 d1[[0, -1]], [c @ freq, c @ (sign * freq)], rtol=1e-12, atol=1e-14 * scale
             )
@@ -256,9 +280,8 @@ class TestEvaluateDerivatives:
         # 2.3e-15 (phi') and 3.3e-15 (phi'') of sum |c_k|*f_k^j
         sin_tab, cos_tab = direct_tables(basis.m, intervals)
         freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
-        for a in (solve(100.0).coeffs, rand_coeffs(basis.m)):
-            c = a @ basis.gs_matrix
-            d1, d2 = evaluate_uniform_derivatives(basis, a, intervals)
+        for c in (solve(100.0).coeffs, rand_coeffs(basis.m)):
+            d1, d2 = evaluate_uniform_derivatives(basis, c, intervals)
             assert d1.shape == d2.shape == (intervals + 1,)
             for got, weighted, table in [(d1, c * freq, cos_tab), (d2, c * freq**2, -sin_tab)]:
                 assert np.max(np.abs(got - table @ weighted)) <= 1e-13 * np.sum(np.abs(weighted))

@@ -74,9 +74,8 @@ class TestSolveCommand:
         assert run("solve", "--out", str(out)) == 0
         lines = data_lines(out / "profile.csv")
         rho, phi, d1, d2 = np.array([line.split(",") for line in lines[1:]], dtype=float).T
-        coeffs = solve(100.0).coeffs
-        assert np.array_equal(phi, dense_profile(basis, coeffs)[1])
-        c = coeffs @ basis.gs_matrix
+        c = solve(100.0).coeffs
+        assert np.array_equal(phi, dense_profile(basis, c)[1])
         freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
         arg = rho[:, None] * freq
         for got, direct in ((d1, np.cos(arg) @ (c * freq)), (d2, -np.sin(arg) @ (c * freq**2))):
@@ -256,7 +255,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_check_is_below_the_step_rounding(self, tmp_path, capsys, seed):
-        # dividing by 2h instead of each difference's width reads 1.398e-10 at seed 0
+        # dividing by 2h_i instead of each difference's width reads 3.3e-10 at seed 0
         run("verify", "--out", str(tmp_path), "--seed", str(seed))
         (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("gradient_fd")]
         assert float(line.rsplit(" ", 1)[1].rstrip(")")) < 1e-11
@@ -274,6 +273,20 @@ class TestVerifyCommand:
             f"{name}: FAIL (skipped: basis unavailable)"
             for name in ("gradient_fd", "bounds", "decay", "linear_limit", "oracle_cross")
         ]
+
+    @pytest.mark.parametrize("ratio, ok", [(1.5e-4, True), (1.4e-4, False)])
+    def test_orthonormality_holds_eps_over_the_squared_pivot_ratio(
+        self, tmp_path, capsys, monkeypatch, ratio, ok
+    ):
+        # a basis that builds can still fail the line: eps/ratio^2 must stay below 1e-8
+        build = qvortex.cli.build_basis
+        monkeypatch.setattr(
+            qvortex.cli, "build_basis", lambda *a: replace(build(*a), pivot_ratio=ratio)
+        )
+        run("verify", "--out", str(tmp_path))
+        line = capsys.readouterr().out.splitlines()[0]
+        verdict = "PASS" if ok else "FAIL"
+        assert line == f"orthonormality: {verdict} (smallest pivot ratio {ratio:.3e})"
 
     def test_negative_winding_passes(self, tmp_path):
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0

@@ -22,6 +22,7 @@ from qvortex import (
 from qvortex.model import decay_edge, potential_derivative, theory_bounds
 from qvortex.solver import (
     _DELTA_WORK_ARRAYS,
+    _ground_mode,
     _initial_coeffs,
     _project_to_basis,
     _rowdot,
@@ -32,10 +33,21 @@ from qvortex.solver import (
 )
 
 
-def sphere_point(m, q0, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m)
-    return math.sqrt(q0) * v / np.linalg.norm(v)
+def sphere_point(basis, q0, seed):
+    """A seeded random coefficient vector c on the sphere c.W.c = q0."""
+    v = np.random.default_rng(seed).standard_normal(basis.m)
+    return math.sqrt(q0 / float(v @ basis.w_matrix @ v)) * v
+
+
+def w_norm_sq(basis, c):
+    """c.W.c, the norm 4*pi*int(rho*phi^2) of the profile of c."""
+    return float(c @ basis.w_matrix @ c)
+
+
+def tangent_basis(basis, x):
+    """Orthonormal columns spanning the tangent space {t : x.W.t = 0} at x."""
+    wx = basis.w_matrix @ x
+    return np.linalg.qr(np.column_stack((wx, np.eye(basis.m)[:, :-1])))[0][:, 1:]
 
 
 def certify_minimum(basis, params, sol, q0):
@@ -58,14 +70,23 @@ def expanded_delta(problem, x, phi_x, cand, theta=0.0):
     product replaced; the quadratic part is delta's own.
     """
     step = cand - x
-    dphi = step @ problem.psi
+    dphi = step @ problem.sines
     mid = x + 0.5 * step
-    quad = _rowdot(step, (problem.mat @ mid[..., None])[..., 0]) - theta * _rowdot(step, mid)
+    quad = _rowdot(step, (problem.mat @ mid[..., None])[..., 0])
+    if theta:
+        quad = quad - theta * _rowdot(step, (problem.gram @ mid[..., None])[..., 0])
     u, v = phi_x + dphi, phi_x
     u2, v2 = u * u, v * v
     s3 = u2 * u + u2 * v + u * v2 + v2 * v
     s5 = u2 * s3 + v2 * v2 * (u + v)
     return quad + problem.lam * ((dphi * (s5 - problem.a_pot * s3)) @ problem.w_rho)
+
+
+def linear_mode(basis, problem):
+    """The lowest eigenvector of the pencil (K + n^2 C, W), by scipy."""
+    import scipy.linalg
+
+    return scipy.linalg.eigh(problem.mat, basis.w_matrix, subset_by_index=[0, 0])[1][:, 0]
 
 
 def trapezoid_coeffs(basis):
@@ -108,10 +129,10 @@ class TestSolveConfig:
 
 
 class TestDiscreteFunctional:
-    """F(a) = _SphereProblem.value(a) + lam*b*q0/(4*pi).
+    """F(c) = _SphereProblem.value(c) + lam*b*q0/(4*pi).
 
     omega_sq is the multiplier of the norm constraint,
-    4*pi*(a.grad F(a))/q0 + 2*lam*b at the solution.
+    4*pi*(c.grad F(c))/q0 + 2*lam*b at the solution.
     """
 
     def test_zero_coefficients_leave_only_the_constant(self, basis, params, table2):
@@ -124,16 +145,17 @@ class TestDiscreteFunctional:
             assert sol.f_value == problem.value(sol.coeffs) + const, n
 
     def test_small_norm_single_mode_leading_order(self, basis, params):
+        # the first mode alone on the sphere: c_1^2 * W_11 = q0
         q0 = 1e-6
         a = np.zeros(basis.m)
-        a[0] = math.sqrt(q0)
-        mat11 = basis.k_matrix[0, 0] + basis.c_matrix[0, 0]
+        a[0] = math.sqrt(q0 / basis.w_matrix[0, 0])
+        mat11 = (basis.k_matrix[0, 0] + basis.c_matrix[0, 0]) / basis.w_matrix[0, 0]
         value = _SphereProblem(basis, params).value(a)
         assert value == pytest.approx(0.5 * q0 * mat11, abs=1e-12)
 
     def test_even_in_the_coefficients(self, basis, params):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=3)
+        a = sphere_point(basis, 100.0, seed=3)
         assert problem.value(a) == problem.value(-a)
 
     def test_nonlinear_homogeneity_degrees(self, basis, params):
@@ -144,7 +166,7 @@ class TestDiscreteFunctional:
         sextic = _SphereProblem(basis, params)
         sextic.a_pot = 0.0
         sextic.mat = np.zeros_like(sextic.mat)
-        a = sphere_point(basis.m, 4.0, seed=5)
+        a = sphere_point(basis, 4.0, seed=5)
         for s in (0.25, 4.0):
             b = math.sqrt(s) * a
             assert sextic.value(b) == pytest.approx(s**3 * sextic.value(a), rel=1e-12)
@@ -155,7 +177,7 @@ class TestDiscreteFunctional:
         # phi, with the model's U'(phi) as the reference
         sol = solve(100.0)
         a = np.array(sol.coeffs)
-        phi = a @ basis.psi_nodes
+        phi = a @ basis.sin_nodes
         w_rho = basis.grid.weights * basis.grid.nodes
         projected = 4.0 * math.pi / 100.0 * (
             a @ basis.k_matrix @ a
@@ -179,10 +201,10 @@ class TestFunctionalGradient:
         # the gradient's nonlinear part is that of the sextic-quartic
         # integral, the difference of value() from its quadratic form
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=11)
+        a = sphere_point(basis, 100.0, seed=11)
         mat = basis.k_matrix + params.n**2 * basis.c_matrix
         g_nl = problem.gradient(a) - mat @ a
-        step = 1e-4 * sphere_point(basis.m, 1.0, seed=12)
+        step = 1e-4 * sphere_point(basis, 1.0, seed=12)
         d_nl = problem.value(a + step) - problem.value(a - step)
         d_nl -= 2.0 * step @ mat @ a
         assert d_nl == pytest.approx(2.0 * step @ g_nl, rel=1e-7)
@@ -200,7 +222,7 @@ class TestFunctionalGradient:
 
     def test_stacked_differences_match_one_candidate_at_a_time(self, basis, params):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=3)
+        a = sphere_point(basis, 100.0, seed=3)
         phi_a = problem.phi(a)
         rng = np.random.default_rng(4)
         cands = np.concatenate(
@@ -219,7 +241,7 @@ class TestFunctionalGradient:
     @pytest.mark.parametrize("kind", ["coordinate", "random"])
     def test_factored_difference_matches_the_expanded_sums(self, basis, params, kind):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=5)
+        a = sphere_point(basis, 100.0, seed=5)
         phi_a = problem.phi(a)
         if kind == "coordinate":
             steps = 1e-6 * np.eye(basis.m)
@@ -236,7 +258,7 @@ class TestFunctionalGradient:
 
     def test_stacked_starts_match_one_start_at_a_time(self, basis, params):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=7)
+        a = sphere_point(basis, 100.0, seed=7)
         rng = np.random.default_rng(8)
         starts = np.concatenate(
             (a - 1e-6 * np.eye(basis.m), a + 0.1 * rng.standard_normal((5, basis.m)))
@@ -254,17 +276,20 @@ class TestFunctionalGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fd_check_is_the_two_sided_difference(self, basis, params, seed):
-        # reference: F(a + h e_i) - F(a - h e_i) by the expanded sums over the
-        # width (a + h e_i)_i - (a - h e_i)_i, same points
+        # reference: F(c + h_i e_i) - F(c - h_i e_i), h_i = 1e-6/sqrt(W_ii), by
+        # the expanded sums over the width (c + h_i e_i)_i - (c - h_i e_i)_i,
+        # at the check's points c = L^-T a, W = L.L^T, a uniform on |a|^2 = 100
         problem = _SphereProblem(basis, params)
         rng = np.random.default_rng(seed)
-        step, worst = 1e-6, 0.0
+        low = basis.w_cholesky
+        step, worst = np.diag(1e-6 / np.sqrt(np.diag(basis.w_matrix))), 0.0
         for _ in range(10):
             v = rng.standard_normal(basis.m)
-            a = math.sqrt(100.0) * v / np.linalg.norm(v)
+            a = np.linalg.solve(low.T, math.sqrt(100.0) * v / np.linalg.norm(v))
+            assert w_norm_sq(basis, a) == pytest.approx(100.0, rel=1e-12)
             g = problem.gradient(a)
             scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-            lower, upper = a - step * np.eye(basis.m), a + step * np.eye(basis.m)
+            lower, upper = a - step, a + step
             width = np.diagonal(upper) - np.diagonal(lower)
             fd = expanded_delta(problem, lower, problem.phi(lower), upper) / width
             worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
@@ -273,7 +298,7 @@ class TestFunctionalGradient:
 
     def test_work_arrays_leave_the_difference_unchanged(self, basis, params):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=9)
+        a = sphere_point(basis, 100.0, seed=9)
         starts = a - 1e-6 * np.eye(basis.m)
         cands = a + 1e-6 * np.eye(basis.m)
         phi_starts = problem.phi(starts)
@@ -295,6 +320,25 @@ class TestFunctionalGradient:
         monkeypatch.setattr(_SphereProblem, "delta", counting)
         gradient_fd_check(basis, params, q0=100.0, seed=0)
         assert len(calls) == 10
+
+    def test_fd_check_forms_no_multiplier_term(self, basis, params, monkeypatch):
+        # the check differences F itself (theta = 0), and at theta = 0 delta
+        # takes no product with W, which for the stacked candidates would be
+        # an m x m x m product per point
+        thetas = []
+        delta = _SphereProblem.delta
+
+        def recording(self, x, phi_x, cand, theta=0.0, work=None):
+            thetas.append(theta)
+            gram, self.gram = self.gram, None
+            try:
+                return delta(self, x, phi_x, cand, theta, work)
+            finally:
+                self.gram = gram
+
+        monkeypatch.setattr(_SphereProblem, "delta", recording)
+        gradient_fd_check(basis, params, q0=100.0, seed=0)
+        assert thetas == [0.0] * 10
 
 
 class TestMinimize:
@@ -319,7 +363,7 @@ class TestMinimize:
         drifts = []
 
         def watch(_it, coeffs, _f, _g):
-            drifts.append(abs(float(coeffs @ coeffs) - 100.0) / 100.0)
+            drifts.append(abs(w_norm_sq(basis, coeffs) - 100.0) / 100.0)
 
         minimize_on_sphere(basis, params, SolveConfig(q0=100.0), callback=watch)
         assert drifts and max(drifts) < 1e-12
@@ -330,6 +374,29 @@ class TestMinimize:
             basis, params, SolveConfig(q0=100.0), callback=lambda *step: norms.append(step[3])
         )
         assert sol.converged and norms[-1] == sol.grad_norm
+
+    @pytest.mark.parametrize("q0", [100.0, 0.01])
+    def test_stopping_test_measures_both_gradients_in_the_metric(self, basis, params, q0):
+        # |v| = sqrt(v.W^-1.v), the Euclidean norm in orthonormal coordinates:
+        # each reported norm is the tangent gradient's, and the descent stops
+        # at the first iterate where it is <= grad_tol * max(1, |g|)
+        problem = _SphereProblem(basis, params)
+        steps = []
+        sol = minimize_on_sphere(
+            basis, params, SolveConfig(q0=q0),
+            callback=lambda _i, c, _f, gt_norm: steps.append((c, gt_norm)),
+        )
+
+        def norm(v):
+            return math.sqrt(float(v @ np.linalg.solve(basis.w_matrix, v)))
+
+        met = []
+        for c, gt_norm in steps:
+            g = problem.gradient(c)
+            gt = g - (float(c @ g) / q0) * (basis.w_matrix @ c)
+            assert gt_norm == pytest.approx(norm(gt), rel=1e-8)
+            met.append(gt_norm <= 1e-8 * max(1.0, norm(g)))
+        assert sol.converged and met[-1] and not any(met[:-1])
 
     def test_monotone_descent(self, basis, params):
         values = []
@@ -342,7 +409,7 @@ class TestMinimize:
 
     def test_solution_constraint_and_sign(self, basis, params, solve):
         sol = solve(100.0)
-        assert float(sol.coeffs @ sol.coeffs) == pytest.approx(100.0, rel=1e-10)
+        assert w_norm_sq(basis, sol.coeffs) == pytest.approx(100.0, rel=1e-10)
         _, phi = dense_profile(basis, sol.coeffs)
         # at m=60 the sine truncation leaves tail wiggles near -9e-8*phi_max
         # (they vanish by m=120); the strict positivity floor is checked at
@@ -446,7 +513,7 @@ class TestDenseProfileMemory:
         assert sol.phi_max == np.max(np.abs(phi))
         # the sine series summed directly on the same radii
         freq = np.arange(1, basis.m + 1) * (math.pi / basis.p)
-        direct = np.sin(rho[:, None] * freq) @ (sol.coeffs @ basis.gs_matrix)
+        direct = np.sin(rho[:, None] * freq) @ sol.coeffs
         assert sol.phi_max == pytest.approx(np.max(np.abs(direct)), rel=1e-14)
 
 
@@ -460,34 +527,59 @@ class TestHessian:
         built = build_basis(params, m, build_grid(20.0, panels=panels, order_per_panel=8))
         problem = _SphereProblem(built, params)
         for q0, seed in [(100.0, 0), (100.0, 1), (1000.0, 2)]:
-            a = sphere_point(m, q0, seed)
+            a = sphere_point(built, q0, seed)
             phi = problem.phi(a)
             ph2 = phi * phi
             curv = problem.lam * problem.w_rho * ph2 * (30.0 * ph2 - 12.0 * problem.a_pot)
-            direct = (problem.psi * curv) @ problem.psi.T
+            direct = (problem.sines * curv) @ problem.sines.T
             got = problem.hessian(a, phi) - problem.mat
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_reduced_hessian_projects_the_shifted_hessian(self, basis, params):
         problem = _SphereProblem(basis, params)
-        a = sphere_point(basis.m, 100.0, seed=3)
+        a = sphere_point(basis, 100.0, seed=3)
         got = problem.reduced_hessian(a, problem.phi(a), 0.7)
-        shifted = problem.hessian(a) - 0.7 * np.eye(basis.m)
-        unit = a / np.linalg.norm(a)
-        tangent = np.linalg.qr(np.column_stack((unit, np.eye(basis.m)[:, :-1])))[0][:, 1:]
+        shifted = problem.hessian(a) - 0.7 * basis.w_matrix
+        tangent = tangent_basis(basis, a)
         np.testing.assert_allclose(
             tangent.T @ got @ tangent, tangent.T @ shifted @ tangent,
             rtol=0.0, atol=1e-13 * np.abs(shifted).max(),
         )
-        mu = np.max(np.sum(np.abs(shifted), axis=1))
-        np.testing.assert_allclose(got @ unit, mu * unit, rtol=0.0, atol=1e-13 * mu)
+        # along the normal u = a/sqrt(a.W.a), R.u = mu*W.u with
+        # mu = |B|_inf * |u|^2, so that u.R.u/u.u = |B|_inf
+        unit = a / math.sqrt(w_norm_sq(basis, a))
+        mu = np.max(np.sum(np.abs(shifted), axis=1)) * (unit @ unit)
+        np.testing.assert_allclose(
+            got @ unit, mu * (basis.w_matrix @ unit), rtol=0.0, atol=1e-13 * mu
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quadratic_form_splits_into_tangent_and_normal_parts(self, basis, params, seed):
+        # d = t + alpha*u with t tangent (u.W.t = 0): d.R.d = t.(H - theta*W).t + mu*alpha^2,
+        # so R is positive definite exactly where H - theta*W is on the tangent space
+        problem = _SphereProblem(basis, params)
+        rng = np.random.default_rng(seed)
+        a = sphere_point(basis, 100.0, seed=10 + seed)
+        theta = float(rng.uniform(-1.0, 1.0))
+        got = problem.reduced_hessian(a, problem.phi(a), theta)
+        shifted = problem.hessian(a) - theta * basis.w_matrix
+        unit = a / math.sqrt(w_norm_sq(basis, a))
+        mu = np.max(np.sum(np.abs(shifted), axis=1)) * (unit @ unit)
+        for _ in range(5):
+            t = tangent_basis(basis, a) @ rng.standard_normal(basis.m - 1)
+            alpha = float(rng.standard_normal())
+            d = t + alpha * unit
+            expected = t @ shifted @ t + mu * alpha**2
+            scale = np.abs(shifted).max() * float(d @ d) + mu * alpha**2
+            assert abs(d @ got @ d - expected) <= 1e-13 * scale
 
     def test_certifies_where_only_the_reduced_hessian_is_positive(
         self, basis, params, monkeypatch
     ):
-        # B = [[-1, 0.9], [0.9, 0.5]] + I: positive definite on the tangent
-        # space of x = e_1, but B + mu*e_1.e_1^T (mu = 1.9, the largest row
-        # sum) leads with [[0.9, 0.9], [0.9, 0.5]] and is indefinite
+        # with the metric W = I, B = [[-1, 0.9], [0.9, 0.5]] + I is positive
+        # definite on the tangent space of x = e_1, but B + mu*e_1.e_1^T
+        # (mu = 1.9, the largest row sum) leads with [[0.9, 0.9], [0.9, 0.5]]
+        # and is indefinite
         m = basis.m
         block = np.eye(m)
         block[:2, :2] = [[-1.0, 0.9], [0.9, 0.5]]
@@ -496,6 +588,7 @@ class TestHessian:
         assert np.linalg.eigvalsh(bordered).min() < 0.0
         problem = _SphereProblem(basis, params)
         monkeypatch.setattr(problem, "hessian", lambda a, phi=None: block.copy())
+        monkeypatch.setattr(problem, "gram", np.eye(m))
         x = 10.0 * np.eye(m)[0]
         np.linalg.cholesky(problem.reduced_hessian(x, problem.phi(x), 0.0))
 
@@ -523,25 +616,27 @@ class TestNewtonDirection:
         return 0.5 * (hess + hess.T)
 
     def test_solves_the_bordered_kkt_system(self, basis, params, solve):
+        # [[H - theta*W, W.x], [x^T.W, 0]] [d; nu] = [gt; 0], H by central
+        # differences of the gradient, at a point near the minimizer, where
+        # the reduced Hessian is positive
         q0 = 100.0
-        # a point near the minimizer, where the reduced Hessian is positive
-        x = np.array(solve(q0).coeffs) + 1e-2 * sphere_point(basis.m, 1.0, seed=7)
-        x *= math.sqrt(q0) / np.linalg.norm(x)
         problem = _SphereProblem(basis, params)
+        x = problem.onto_sphere(np.array(solve(q0).coeffs) + 1e-2 * sphere_point(basis, 1.0, seed=7), q0)
         g = problem.gradient(x)
         theta = float(x @ g) / q0
-        gt = g - theta * x
+        wx = basis.w_matrix @ x
+        gt = g - theta * wx
         d = problem.newton_direction(x, problem.phi(x), gt, theta)
         assert d is not None
         m = basis.m
         kkt = np.zeros((m + 1, m + 1))
-        kkt[:m, :m] = self.fd_hessian(basis, params, x) - theta * np.eye(m)
-        kkt[:m, m] = kkt[m, :m] = x
+        kkt[:m, :m] = self.fd_hessian(basis, params, x) - theta * basis.w_matrix
+        kkt[:m, m] = kkt[m, :m] = wx
         reference = np.linalg.solve(kkt, np.concatenate([gt, [0.0]]))[:m]
         np.testing.assert_allclose(
             d, reference, rtol=1e-6, atol=1e-8 * np.abs(reference).max()
         )
-        assert abs(float(x @ d)) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(d)
+        assert abs(float(wx @ d)) <= 1e-10 * np.linalg.norm(wx) * np.linalg.norm(d)
 
     def test_eigen_modified_step_on_an_indefinite_reduced_hessian(
         self, basis, params, solve
@@ -550,21 +645,31 @@ class TestNewtonDirection:
         x = np.array(solve(q0).coeffs)
         problem = _SphereProblem(basis, params)
         g = problem.gradient(x)
-        gt = g - float(x @ g) / q0 * x
-        # a multiplier above the whole spectrum of H leaves H - theta*I
-        # negative definite on the tangent space, so the Cholesky fails
+        wx = basis.w_matrix @ x
+        gt = g - float(x @ g) / q0 * wx
+        # a multiplier above the whole spectrum of the pencil (H, W) leaves
+        # H - theta*W negative definite on the tangent space, so the
+        # Cholesky fails
         theta = 1e4
         d = problem.newton_direction(x, problem.phi(x), gt, theta)
-        assert abs(float(x @ d)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(d)
+        assert abs(float(wx @ d)) <= 1e-12 * np.linalg.norm(wx) * np.linalg.norm(d)
         assert float(d @ gt) > 0.0
-        # T: orthonormal basis of the tangent space; the reference is
-        # T |T^T B T|^-1 T^T gt with B = H - theta*I
-        m = basis.m
-        tangent = np.linalg.qr(np.column_stack((x, np.eye(m)[:, : m - 1])))[0][:, 1:]
-        block = self.fd_hessian(basis, params, x) - theta * np.eye(m)
-        evals, evecs = np.linalg.eigh(tangent.T @ block @ tangent)
-        assert evals.max() < 0.0
-        reference = tangent @ (evecs @ ((evecs.T @ (tangent.T @ gt)) / np.abs(evals)))
+        tangent = tangent_basis(basis, x)
+        block = self.fd_hessian(basis, params, x) - theta * basis.w_matrix
+        assert np.linalg.eigvalsh(tangent.T @ block @ tangent).max() < 0.0
+        # the reference is L^-T.|L^-1.R.L^-T|^-1.L^-1.gt, W = L.L^T, on
+        # R = P^T.B.P + mu*(W.u).(W.u)^T, B by central differences, less its
+        # component along u
+        unit = x / math.sqrt(float(x @ wx))
+        w_unit = basis.w_matrix @ unit
+        proj = np.eye(basis.m) - np.outer(unit, w_unit)
+        mu = np.max(np.sum(np.abs(block), axis=1)) * (unit @ unit)
+        r = proj.T @ block @ proj + mu * np.outer(w_unit, w_unit)
+        low = basis.w_cholesky
+        evals, evecs = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, r).T))
+        unit_step = evecs @ ((evecs.T @ np.linalg.solve(low, gt)) / np.abs(evals))
+        reference = np.linalg.solve(low.T, unit_step)
+        reference -= float(w_unit @ reference) * unit
         np.testing.assert_allclose(
             d, reference, rtol=1e-8, atol=1e-10 * np.abs(reference).max()
         )
@@ -587,12 +692,28 @@ class TestColdStart:
             "thin_wall": np.tanh(rho) ** n * (1.0 - np.tanh(rho - wall)),
         }
         candidates = {k: _project_to_basis(basis, v) for k, v in candidates.items()}
-        candidates["linear"] = np.linalg.eigh(problem.mat)[1][:, 0]
-        units = {k: a / np.linalg.norm(a) for k, a in candidates.items()}
+        candidates["linear"] = linear_mode(basis, problem)
+        units = {k: a / math.sqrt(w_norm_sq(basis, a)) for k, a in candidates.items()}
         values = {k: problem.value(math.sqrt(q0) * u) for k, u in units.items()}
         assert min(values, key=values.get) == winner
         start = _initial_coeffs(basis, row, SolveConfig(q0=q0), problem)
-        assert abs(units[winner] @ start) / np.linalg.norm(start) == pytest.approx(1.0, abs=1e-12)
+        cosine = abs(units[winner] @ basis.w_matrix @ start) / math.sqrt(w_norm_sq(basis, start))
+        assert cosine == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_ground_mode_is_the_lowest_generalized_eigenvector(self, basis, params, n):
+        # measured 1 - cos at most 4.4e-16 against scipy's eigh of the pencil
+        problem = _SphereProblem(basis, replace(params, n=n))
+        got, expected = _ground_mode(problem), linear_mode(basis, problem)
+        cosine = abs(got @ basis.w_matrix @ expected) / math.sqrt(
+            w_norm_sq(basis, got) * w_norm_sq(basis, expected)
+        )
+        assert cosine == pytest.approx(1.0, abs=1e-13)
+
+    def test_projection_in_the_metric_recovers_a_sine_series(self, basis):
+        c = sphere_point(basis, 100.0, seed=2)
+        got = _project_to_basis(basis, c @ basis.sin_nodes)
+        np.testing.assert_allclose(got, c, rtol=0.0, atol=1e-12 * np.abs(c).max())
 
     def test_a_configured_start_competes_with_the_thin_wall(self, basis, params, solve):
         # the trapezoid has a higher F than the thin wall at q0=100, the
@@ -780,21 +901,19 @@ class TestResidualError:
         assert values[0] > values[1] > values[2]
 
     def test_matches_the_derivative_tables(self, basis, params, solve):
-        # the residual summed on the basis' raw sine and cosine tables against
-        # the same sum over psi, psi' and psi'' tabulated with np.sin and
-        # np.cos; measured worst relative difference 1.2e-12 (n=5), 2.2e-13 (n=1, 3)
+        # the residual summed on the basis' sine and cosine tables against
+        # the same sum over s, s' and s'' tabulated with np.sin and np.cos
         rho = basis.grid.nodes
         freq = np.arange(1, basis.m + 1) * (math.pi / 20.0)
-        sin_tab, cos_tab = np.sin(freq[:, None] * rho), np.cos(freq[:, None] * rho)
-        psi = basis.gs_matrix @ sin_tab
-        dpsi = (basis.gs_matrix * freq) @ cos_tab
-        d2psi = (basis.gs_matrix * -(freq**2)) @ sin_tab
+        sines = np.sin(freq[:, None] * rho)
+        d1 = freq[:, None] * np.cos(freq[:, None] * rho)
+        d2 = -(freq[:, None] ** 2) * sines
         points = [(solve(100.0, n).coeffs, solve(100.0, n).omega_sq, n) for n in (1, 3, 5)]
-        points.append((sphere_point(basis.m, 100.0, seed=4), 1.0, 1))
+        points.append((sphere_point(basis, 100.0, seed=4), 1.0, 1))
         for a, omega_sq, n in points:
             row_params = replace(params, n=n)
-            phi = a @ psi
-            r = (a @ d2psi + (a @ dpsi) / rho - n**2 * phi / rho**2 + omega_sq * phi
+            phi = a @ sines
+            r = (a @ d2 + (a @ d1) / rho - n**2 * phi / rho**2 + omega_sq * phi
                  - potential_derivative(phi, row_params))
             expected = float(np.sqrt(np.dot(basis.grid.weights, r * r))) / 20.0
             got = residual_error(a, omega_sq, basis, row_params)

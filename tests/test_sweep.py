@@ -102,7 +102,7 @@ class TestSweepN:
         # and lands on the cold solve's minimizer
         start = None
         for n, sol in table2:
-            assert float(sol.coeffs @ sol.coeffs) == pytest.approx(100.0, rel=1e-10)
+            assert float(sol.coeffs @ basis.w_matrix @ sol.coeffs) == pytest.approx(100.0, rel=1e-10)
             warm = minimize_on_sphere(
                 basis, replace(params, n=n), SolveConfig(q0=100.0, start_coeffs=start)
             )
