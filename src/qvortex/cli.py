@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .basis import build_basis, evaluate_uniform, evaluate_uniform_derivatives
-from .crosscheck import BESSEL_ORDER_MAX, N_FD_MIN, bessel_first_zero, fd_minimize
+from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import build_grid
 from .solver import (
@@ -133,11 +133,11 @@ def resolve_config(args):
         q0=1.0, **{f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
     )
     check_positive_int("basis_size", values["basis_size"])
-    _check_flags(args, params)
+    _check_flags(args)
     return values, params, config
 
 
-def _check_flags(args, params):
+def _check_flags(args):
     """Reject out-of-range values of the command's own flags."""
     if args.command in ("solve", "oracle-compare"):
         check_positive("--q0", args.q0)
@@ -151,10 +151,6 @@ def _check_flags(args, params):
         if not np.all(np.diff(np.geomspace(q0_min, q0_max, points)) > 0):
             raise ValueError(f"--q0-min {q0_min}, --q0-max {q0_max} and --points {points} "
                              "give no strictly ascending geometric Q0 list")
-    if args.command == "verify":
-        if abs(params.n) > BESSEL_ORDER_MAX:
-            raise ValueError(f"--n must lie in -{BESSEL_ORDER_MAX}..{BESSEL_ORDER_MAX} "
-                             f"for the linear-limit check, got {params.n}")
 
 
 def _fmt(value):

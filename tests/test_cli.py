@@ -291,6 +291,16 @@ class TestVerifyCommand:
     def test_negative_winding_passes(self, tmp_path):
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
 
+    @pytest.mark.parametrize("n", ["11", "-12"])
+    def test_winding_beyond_ten_passes(self, tmp_path, capsys, n):
+        # the linear-limit Bessel zero has no order cap
+        assert run("verify", "--out", str(tmp_path), "--n", n, "--set", "p=20") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:-1]] == [
+            f"{name}: PASS" for name in ("orthonormality", "gradient_fd", "bounds", "decay",
+                                         "linear_limit", "oracle_cross")
+        ]
+
     def test_oracle_cross_checks_the_configured_winding(self, tmp_path, monkeypatch):
         # the oracle compares with the solve the bounds and decay lines judge
         seen = {"fd": [], "spectral": []}
@@ -401,8 +411,6 @@ class TestConfigResolution:
             ["dispersion", "--q0-max", "inf"],
             ["oracle-compare", "--q0", "-1"],
             ["oracle-compare", "--n-fd", "10"],
-            ["verify", "--n", "11"],
-            ["verify", "--n", "-11"],
             # 1 and its float successor: the five geometric points repeat values
             ["dispersion", "--q0-min", "1", "--q0-max", "1.0000000000000002", "--points", "5"],
         ],
@@ -487,7 +495,8 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(qvortex.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = "import sys, qvortex.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, qvortex.cli; qvortex.cli.bessel_first_zero(3); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
         timeout=60,

@@ -26,11 +26,17 @@ VERIFY_SCAN = [(n, p) for n in (1, 2, 3) for p in (16.0, 20.0, 24.0)]
 class TestBesselFirstZero:
     @pytest.mark.parametrize("order,reference", sorted(BESSEL_ZEROS.items()))
     def test_reference_values(self, order, reference):
-        assert bessel_first_zero(order) == pytest.approx(reference, abs=2e-8)
+        assert bessel_first_zero(order) == pytest.approx(reference, abs=1e-14)
+
+    @pytest.mark.parametrize("order", [*range(61), 100, 200, 500, 1000, 2000])
+    def test_matches_scipy_jn_zeros(self, order):
+        from scipy.special import jn_zeros
+
+        assert bessel_first_zero(order) == pytest.approx(jn_zeros(order, 1)[0], rel=1e-14)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            bessel_first_zero(11)
+            bessel_first_zero(2.5)
         with pytest.raises(ValueError):
             bessel_first_zero(-1)
 
