@@ -411,6 +411,9 @@ class TestConfigResolution:
             ["dispersion", "--q0-max", "inf"],
             ["oracle-compare", "--q0", "-1"],
             ["oracle-compare", "--n-fd", "10"],
+            # the lowest rejected values: one below each flag's minimum
+            ["oracle-compare", "--n-fd", "99"],
+            ["dispersion", "--points", "1"],
             # 1 and its float successor: the five geometric points repeat values
             ["dispersion", "--q0-min", "1", "--q0-max", "1.0000000000000002", "--points", "5"],
         ],
