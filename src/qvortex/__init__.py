@@ -28,7 +28,6 @@ from .solver import (
     SolveConfig,
     VortexSolution,
     check_decay_envelope,
-    dense_profile,
     minimize_on_sphere,
     residual_error,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "PROFILE_POINTS",
     "minimize_on_sphere",
     "residual_error",
-    "dense_profile",
     "check_decay_envelope",
     "FdSolution",
     "fd_minimize",

@@ -9,7 +9,10 @@ table2         : winding sweep n in 1..5 at q0 = 100; table2.csv
 dispersion     : log-spaced norm sweep for frequency-vs-norm data;
                  dispersion.csv
 verify         : run the invariant suite at the configured parameters and
-                 print one PASS/FAIL line per check; exit 0 iff all pass
+                 print one PASS/FAIL line per check; exit 0 iff all pass.
+                 A basis that fails to build is "error [basis]" and exit 1,
+                 as in every command, and a winding past
+                 bessel_first_zero's order bound is a config error
 oracle-compare : spectral vs finite-difference solver at one (n, q0);
                  oracle_compare.json
 
@@ -133,12 +136,14 @@ def resolve_config(args):
         q0=1.0, **{f.name: values[f.name] for f in fields(SolveConfig) if f.name in values}
     )
     check_positive_int("basis_size", values["basis_size"])
-    _check_flags(args)
+    _check_flags(args, params)
     return values, params, config
 
 
-def _check_flags(args):
-    """Reject out-of-range values of the command's own flags."""
+def _check_flags(args, params):
+    """Reject out-of-range values of the command's own flags, and windings verify cannot check."""
+    if args.command == "verify":
+        bessel_first_zero(abs(params.n))  # the linear-limit zero; raises past its order bound
     if args.command in ("solve", "oracle-compare"):
         check_positive("--q0", args.q0)
     if args.command == "oracle-compare":
@@ -318,22 +323,12 @@ def cmd_verify(cfg, params, solve, args):
     def report(name, ok, detail):
         results.append(ok)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        return ok
 
-    basis = None
-    try:
-        basis = _build(cfg, params)
-        # orthonormalizing the modes would leave a residual near eps/ratio^2
-        ratio = basis.pivot_ratio
-        ok = np.finfo(float).eps / ratio**2 < 1e-8
-        report("orthonormality", ok, f"smallest pivot ratio {ratio:.3e}")
-    except Exception as exc:
-        report("orthonormality", False, str(exc))
-
-    if basis is None:
-        for name in ("gradient_fd", "bounds", "decay", "linear_limit", "oracle_cross"):
-            report(name, False, "skipped: basis unavailable")
-        return 1
+    basis = _stage("basis")(_build)(cfg, params)
+    # orthonormalizing the modes would leave a residual near eps/ratio^2
+    ratio = basis.pivot_ratio
+    report("orthonormality", np.finfo(float).eps / ratio**2 < 1e-8,
+           f"smallest pivot ratio {ratio:.3e}")
 
     err = gradient_fd_check(basis, params, q0=BENCHMARK_Q0, seed=solve.rng_seed)
     report("gradient_fd", err < 1e-4, f"max relative error {err:.3e}")

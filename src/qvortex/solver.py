@@ -80,7 +80,6 @@ __all__ = [
     "PROFILE_POINTS",
     "minimize_on_sphere",
     "residual_error",
-    "dense_profile",
     "check_decay_envelope",
     "check_solution",
     "gradient_fd_check",
@@ -151,10 +150,10 @@ class VortexSolution:
 
     coeffs are the sine coefficients c, on the sphere c.W.c = q0, and are
     sign-normalized so the profile is non-negative at its largest extremum.
-    profile is phi at the PROFILE_POINTS uniform radii of dense_profile, and
-    phi_max its largest absolute value. grad_norm is the final norm of
-    g - theta*W.c in the metric W, sqrt(v.W^-1.v), attached so
-    non-convergence is never a silent success.
+    profile is phi at PROFILE_POINTS uniform radii from 0 to p inclusive,
+    summed by basis.evaluate_uniform, and phi_max its largest absolute
+    value. grad_norm is the final norm of g - theta*W.c in the metric W,
+    sqrt(v.W^-1.v), attached so non-convergence is never a silent success.
     """
 
     coeffs: np.ndarray
@@ -186,12 +185,6 @@ def residual_error(coeffs, omega_sq, basis, params):
         - potential_derivative(phi, params)
     )
     return float(np.sqrt(np.dot(basis.grid.weights, r * r))) / basis.p
-
-
-def dense_profile(basis, coeffs):
-    """Uniform output grid on [0, p] and the profile sampled on it."""
-    rho = np.linspace(0.0, basis.p, PROFILE_POINTS)
-    return rho, evaluate_uniform(basis, coeffs, PROFILE_POINTS - 1)
 
 
 def check_decay_envelope(profile, omega_sq, params):
@@ -437,8 +430,8 @@ class _SphereProblem:
         factor *= bracket
         return quad + self.lam * (factor @ self.w_rho), phi_c
 
-    def hessian(self, c, phi=None):
-        """Exact Hessian H = K + n^2 C + B of F at c.
+    def hessian(self, phi):
+        """Exact Hessian H = K + n^2 C + B of F at the c with phi = c @ S.
 
         The nonlinear part is B = S.diag(v).S^T with the nodal curvature
         weights v = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) and S the raw sine
@@ -454,8 +447,6 @@ class _SphereProblem:
         corner mode chi, adds one row and column, S.(v*chi), by a direct
         O(m*N) product.
         """
-        if phi is None:
-            phi = self.phi(c)
         ph2 = phi * phi
         curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
         moments = self.cos_nodes @ curv
@@ -477,7 +468,7 @@ class _SphereProblem:
         R is formed in place on H, in O(m^2), as B - W.u.v^T - v.(W.u)^T,
         v = B.u - (u.B.u + mu)/2 * W.u.
         """
-        r = self.hessian(x, phi_x)
+        r = self.hessian(phi_x)
         r -= theta * self.gram
         w_x = self.gram @ x
         scale = 1.0 / math.sqrt(float(np.dot(x, w_x)))
@@ -627,7 +618,7 @@ def minimize_on_sphere(basis, params, config, callback=None):
             best = result
 
     coeffs, gt_norm, _, converged = best
-    _, phi_dense = dense_profile(basis, coeffs)
+    phi_dense = evaluate_uniform(basis, coeffs, PROFILE_POINTS - 1)
     peak = int(np.argmax(np.abs(phi_dense)))
     if phi_dense[peak] < 0.0:
         coeffs = -coeffs

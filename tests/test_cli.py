@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -12,11 +14,12 @@ import pytest
 
 import qvortex
 from qvortex import (
+    PROFILE_POINTS,
     ModelParams,
     SolveConfig,
     build_basis,
     build_grid,
-    dense_profile,
+    evaluate_uniform,
     fd_minimize,
     minimize_on_sphere,
 )
@@ -75,7 +78,7 @@ class TestSolveCommand:
         lines = data_lines(out / "profile.csv")
         rho, phi, d1, d2 = np.array([line.split(",") for line in lines[1:]], dtype=float).T
         c = solve(100.0).coeffs
-        assert np.array_equal(phi, dense_profile(basis, c)[1])
+        assert np.array_equal(phi, evaluate_uniform(basis, c, PROFILE_POINTS - 1))
         freq = np.arange(1, basis.m + 1) * (np.pi / basis.p)
         arg = rho[:, None] * freq
         for got, direct in ((d1, np.cos(arg) @ (c * freq)), (d2, -np.sin(arg) @ (c * freq**2))):
@@ -261,18 +264,15 @@ class TestVerifyCommand:
         assert float(line.rsplit(" ", 1)[1].rstrip(")")) < 1e-11
 
     def test_coarse_grid_fails_orthonormality(self, tmp_path, capsys, monkeypatch):
-        # the failure build_basis raises when the grid cannot keep the modes apart
+        # a basis that does not build fails verify as it fails every command
         def failing(*args):
             raise RuntimeError("Gram-Schmidt pivot not positive; quadrature grid too coarse")
 
         monkeypatch.setattr(qvortex.cli, "build_basis", failing)
         assert run("verify", "--out", str(tmp_path)) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("orthonormality: FAIL (Gram-Schmidt pivot not positive")
-        assert lines[1:] == [
-            f"{name}: FAIL (skipped: basis unavailable)"
-            for name in ("gradient_fd", "bounds", "decay", "linear_limit", "oracle_cross")
-        ]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error [basis] Gram-Schmidt pivot not positive; quadrature grid too coarse\n"
 
     @pytest.mark.parametrize("ratio, ok", [(1.5e-4, True), (1.4e-4, False)])
     def test_orthonormality_holds_eps_over_the_squared_pivot_ratio(
@@ -300,6 +300,16 @@ class TestVerifyCommand:
             f"{name}: PASS" for name in ("orthonormality", "gradient_fd", "bounds", "decay",
                                          "linear_limit", "oracle_cross")
         ]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_winding_past_the_bessel_bound_is_a_config_error(self, tmp_path, capsys, sign):
+        # the linear-limit zero is not trusted there, so verify refuses before any work
+        n = sign * (qvortex.crosscheck._BESSEL_ORDER_MAX + 1)
+        assert run("verify", "--out", str(tmp_path), "--n", str(n)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error [config]: Bessel order {abs(n)} exceeds ")
+        assert not any(tmp_path.iterdir())
 
     def test_oracle_cross_checks_the_configured_winding(self, tmp_path, monkeypatch):
         # the oracle compares with the solve the bounds and decay lines judge
@@ -491,6 +501,23 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from qvortex import *", namespace)
     assert [name for name in qvortex.__all__ if name not in namespace] == []
+
+
+def test_every_exported_function_has_a_package_caller():
+    # no public helper that only tests reach: each exported function is named,
+    # bare or as an attribute, in some module of the package besides __init__
+    package = Path(qvortex.__file__).resolve().parent
+    referenced = set()
+    for module in package.glob("*.py"):
+        if module.name != "__init__.py":
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    functions = [name for name in qvortex.__all__ if inspect.isfunction(getattr(qvortex, name))]
+    assert "potential" in functions
+    assert [name for name in functions if name not in referenced] == []
 
 
 def test_import_leaves_scipy_unloaded():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qvortex.crosscheck
-from qvortex import bessel_first_zero, evaluate_uniform, fd_minimize
+from qvortex import PROFILE_POINTS, bessel_first_zero, evaluate_uniform, fd_minimize
 from qvortex.solver import _ring_bump_nodes
 
 # first positive zeros of the integer-order Bessel functions J_0..J_5
@@ -39,6 +39,31 @@ class TestBesselFirstZero:
             bessel_first_zero(2.5)
         with pytest.raises(ValueError):
             bessel_first_zero(-1)
+
+    @staticmethod
+    def reference_zero(order, rows=600):
+        """The zero from a rows-row matrix by LAPACK's bisection.
+
+        That is accurate to relative roundoff, where a dense 600-row
+        eigvalsh is off by about 1e-14.
+        """
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        s = order + 2.0 * np.arange(1, rows + 1)
+        off = 1.0 / ((s[:-1] + 1.0) * np.sqrt(s[:-1] * (s[:-1] + 2.0)))
+        diag = 2.0 / ((s - 1.0) * (s + 1.0))
+        (largest,) = eigvalsh_tridiagonal(diag, off, select="i", select_range=(rows - 1,) * 2)
+        return 2.0 / math.sqrt(largest)
+
+    def test_order_bound_is_where_the_zero_leaves_1e_14(self, monkeypatch):
+        # against 600 rows: 9.96e-15 relative at the bound, 1.02e-14 one past it
+        bound = qvortex.crosscheck._BESSEL_ORDER_MAX
+        with pytest.raises(ValueError, match=f"Bessel order {bound + 1} exceeds {bound}"):
+            bessel_first_zero(bound + 1)
+        monkeypatch.setattr(qvortex.crosscheck, "_BESSEL_ORDER_MAX", bound + 1)
+        for order, within in ((bound, True), (bound + 1, False)):
+            error = abs(bessel_first_zero(order) / self.reference_zero(order) - 1.0)
+            assert (error <= 1e-14) is within
 
 
 class TestFdMinimize:
@@ -76,10 +101,8 @@ class TestFdMinimize:
         sol = minimize_on_sphere(basis, n3, SolveConfig(q0=100.0))
         rho, phi = fd.grid_points, fd.phi_values
         fd_peak = rho[np.argmax(np.abs(phi))]
-        from qvortex import dense_profile
-
-        rho_s, phi_s = dense_profile(basis, sol.coeffs)
-        spec_peak = rho_s[np.argmax(np.abs(phi_s))]
+        rho_s = np.linspace(0.0, basis.p, PROFILE_POINTS)
+        spec_peak = rho_s[np.argmax(np.abs(sol.profile))]
         assert fd_peak == pytest.approx(spec_peak, rel=0.02)
         assert np.max(np.abs(phi)) == pytest.approx(sol.phi_max, rel=0.01)
 

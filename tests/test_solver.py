@@ -13,7 +13,7 @@ from qvortex import (
     build_basis,
     build_grid,
     check_decay_envelope,
-    dense_profile,
+    evaluate_uniform,
     minimize_on_sphere,
     residual_error,
     sweep_n,
@@ -410,7 +410,7 @@ class TestMinimize:
     def test_solution_constraint_and_sign(self, basis, params, solve):
         sol = solve(100.0)
         assert w_norm_sq(basis, sol.coeffs) == pytest.approx(100.0, rel=1e-10)
-        _, phi = dense_profile(basis, sol.coeffs)
+        phi = sol.profile
         # at m=60 the sine truncation leaves tail wiggles near -9e-8*phi_max
         # (they vanish by m=120); the strict positivity floor is checked at
         # higher resolution below
@@ -420,8 +420,7 @@ class TestMinimize:
     def test_sign_normalization_floor_at_higher_resolution(self, params, grid):
         fine = build_basis(params, 90, grid)
         sol = minimize_on_sphere(fine, params, SolveConfig(q0=100.0))
-        _, phi = dense_profile(fine, sol.coeffs)
-        assert phi.min() >= -1e-8 * sol.phi_max
+        assert sol.profile.min() >= -1e-8 * sol.phi_max
 
     def test_trapezoid_start_reaches_same_minimum(self, basis, params, solve):
         # a flat-top trial profile instead of the cold candidates; at q0=10 it
@@ -500,7 +499,7 @@ class TestDenseProfileMemory:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            dense_profile(basis, coeffs)
+            evaluate_uniform(basis, coeffs, PROFILE_POINTS - 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,8 +507,9 @@ class TestDenseProfileMemory:
 
     def test_phi_max_is_the_dense_grid_maximum(self, basis, solve):
         sol = solve(100.0)
-        rho, phi = dense_profile(basis, sol.coeffs)
-        assert rho.size == PROFILE_POINTS
+        rho, phi = np.linspace(0.0, basis.p, PROFILE_POINTS), sol.profile
+        assert phi.size == PROFILE_POINTS
+        assert np.array_equal(phi, evaluate_uniform(basis, sol.coeffs, PROFILE_POINTS - 1))
         assert sol.phi_max == np.max(np.abs(phi))
         # the sine series summed directly on the same radii
         freq = np.arange(1, basis.m + 1) * (math.pi / basis.p)
@@ -532,14 +532,14 @@ class TestHessian:
             ph2 = phi * phi
             curv = problem.lam * problem.w_rho * ph2 * (30.0 * ph2 - 12.0 * problem.a_pot)
             direct = (problem.sines * curv) @ problem.sines.T
-            got = problem.hessian(a, phi) - problem.mat
+            got = problem.hessian(phi) - problem.mat
             assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_reduced_hessian_projects_the_shifted_hessian(self, basis, params):
         problem = _SphereProblem(basis, params)
         a = sphere_point(basis, 100.0, seed=3)
         got = problem.reduced_hessian(a, problem.phi(a), 0.7)
-        shifted = problem.hessian(a) - 0.7 * basis.w_matrix
+        shifted = problem.hessian(problem.phi(a)) - 0.7 * basis.w_matrix
         tangent = tangent_basis(basis, a)
         np.testing.assert_allclose(
             tangent.T @ got @ tangent, tangent.T @ shifted @ tangent,
@@ -562,7 +562,7 @@ class TestHessian:
         a = sphere_point(basis, 100.0, seed=10 + seed)
         theta = float(rng.uniform(-1.0, 1.0))
         got = problem.reduced_hessian(a, problem.phi(a), theta)
-        shifted = problem.hessian(a) - theta * basis.w_matrix
+        shifted = problem.hessian(problem.phi(a)) - theta * basis.w_matrix
         unit = a / math.sqrt(w_norm_sq(basis, a))
         mu = np.max(np.sum(np.abs(shifted), axis=1)) * (unit @ unit)
         for _ in range(5):
@@ -587,7 +587,7 @@ class TestHessian:
         bordered[0, 0] += 1.9
         assert np.linalg.eigvalsh(bordered).min() < 0.0
         problem = _SphereProblem(basis, params)
-        monkeypatch.setattr(problem, "hessian", lambda a, phi=None: block.copy())
+        monkeypatch.setattr(problem, "hessian", lambda phi: block.copy())
         monkeypatch.setattr(problem, "gram", np.eye(m))
         x = 10.0 * np.eye(m)[0]
         np.linalg.cholesky(problem.reduced_hessian(x, problem.phi(x), 0.0))

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qvortex import (
+    PROFILE_POINTS,
     ModelParams,
     SolveConfig,
     build_basis,
     build_grid,
-    dense_profile,
     minimize_on_sphere,
     sweep_n,
     sweep_q0,
@@ -88,13 +88,12 @@ class TestSweepN:
         assert all(a > b for a, b in zip(amps, amps[1:]))
 
     def test_peak_radius_moves_outward(self, params, basis):
-        peaks = []
+        rho, peaks = np.linspace(0.0, basis.p, PROFILE_POINTS), []
         for n in (1, 2, 3):
             sol = minimize_on_sphere(
                 basis, replace(params, n=n), SolveConfig(q0=100.0)
             )
-            rho, phi = dense_profile(basis, sol.coeffs)
-            peaks.append(rho[int(np.argmax(np.abs(phi)))])
+            peaks.append(rho[int(np.argmax(np.abs(sol.profile)))])
         assert peaks[0] < peaks[1] < peaks[2]
 
     def test_records_carry_the_requested_winding(self, params, basis, table2, solve):
