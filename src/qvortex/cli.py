@@ -10,9 +10,8 @@ dispersion     : log-spaced norm sweep for frequency-vs-norm data;
                  dispersion.csv
 verify         : run the invariant suite at the configured parameters and
                  print one PASS/FAIL line per check; exit 0 iff all pass.
-                 A basis that fails to build is "error [basis]" and exit 1,
-                 as in every command, and a winding past
-                 bessel_first_zero's order bound is a config error
+                 A winding past bessel_first_zero's order bound is a
+                 config error
 oracle-compare : spectral vs finite-difference solver at one (n, q0);
                  oracle_compare.json
 
@@ -33,6 +32,11 @@ digits (lossless for doubles) and nothing time- or host-dependent is
 emitted. Every command's output was also byte-identical under 1 and 2
 OpenBLAS threads (scipy-openblas 0.3.31, 2 vCPUs), apart from the
 output_dir echo; other BLAS builds and thread counts are not measured.
+
+main builds the basis once and hands it to the command. A failure is one
+stderr line "error [stage] ...": [config] with exit 2, before any work;
+then, with exit 1, [basis] while the basis is built, [write] for an output
+that cannot be written, and [solve] for anything else, non-convergence too.
 """
 
 from __future__ import annotations
@@ -170,20 +174,6 @@ def _config_echo(cfg, extra):
     return dict(sorted({**cfg, **extra}.items()))
 
 
-def _stage(name):
-    def decorate(fn):
-        def wrapped(*a, **kw):
-            try:
-                return fn(*a, **kw)
-            except Exception as exc:
-                raise RuntimeError(f"[{name}] {exc}") from exc
-
-        return wrapped
-
-    return decorate
-
-
-@_stage("write")
 def _write(path, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -209,11 +199,10 @@ def _build(cfg, params):
     return build_basis(params, m, build_grid(params.p, panels=-(-4 * m // 5)))
 
 
-def cmd_solve(cfg, params, solve, args):
+def cmd_solve(cfg, params, solve, basis, args):
     q0 = args.q0
     out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
+    sol = minimize_on_sphere(basis, params, replace(solve, q0=q0))
 
     rho = np.linspace(0.0, params.p, PROFILE_POINTS)
     d1, d2 = evaluate_uniform_derivatives(basis, sol.coeffs, PROFILE_POINTS - 1)
@@ -258,7 +247,7 @@ def _records(axis, keys, solutions):
     return [(axis, *_RECORD_FIELDS), *rows]
 
 
-def _sweep(cfg, params, name, sweep, solve, axis, keys, table, extra):
+def _sweep(cfg, params, basis, name, sweep, solve, axis, keys, table, extra):
     """The body of every sweep command: solve at each of keys, write one CSV.
 
     sweep(params, basis, keys, solve) gives one solution per key, and
@@ -266,8 +255,7 @@ def _sweep(cfg, params, name, sweep, solve, axis, keys, table, extra):
     the keys of the rows that did not converge; the file is written either way.
     """
     out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    solutions = _stage("solve")(sweep)(params, basis, list(keys), solve)
+    solutions = sweep(params, basis, list(keys), solve)
     _write_csv(out / name, cfg, extra, table(axis, keys, solutions))
     bad = [key for key, sol in zip(keys, solutions) if not sol.converged]
     if bad:
@@ -277,17 +265,17 @@ def _sweep(cfg, params, name, sweep, solve, axis, keys, table, extra):
     return 0
 
 
-def cmd_table1(cfg, params, solve, args):
-    return _sweep(cfg, params, "table1.csv", sweep_q0, replace(solve, q0=TABLE1_Q0[0]),
+def cmd_table1(cfg, params, solve, basis, args):
+    return _sweep(cfg, params, basis, "table1.csv", sweep_q0, replace(solve, q0=TABLE1_Q0[0]),
                   "q0", TABLE1_Q0, _records, {"q0_list": ";".join(map(_fmt, TABLE1_Q0))})
 
 
-def cmd_table2(cfg, params, solve, args):
-    return _sweep(cfg, params, "table2.csv", sweep_n, replace(solve, q0=BENCHMARK_Q0),
+def cmd_table2(cfg, params, solve, basis, args):
+    return _sweep(cfg, params, basis, "table2.csv", sweep_n, replace(solve, q0=BENCHMARK_Q0),
                   "n", TABLE2_N, _records, {"q0": BENCHMARK_Q0})
 
 
-def cmd_dispersion(cfg, params, solve, args):
+def cmd_dispersion(cfg, params, solve, basis, args):
     q0_list = np.geomspace(args.q0_min, args.q0_max, args.points).tolist()
     bounds = theory_bounds(params)
 
@@ -297,7 +285,7 @@ def cmd_dispersion(cfg, params, solve, args):
                 ("omega_sq_min", "", bounds.omega_sq_min),
                 ("omega_sq_max", "", bounds.omega_sq_max)]
 
-    return _sweep(cfg, params, "dispersion.csv", sweep_q0, replace(solve, q0=q0_list[0]),
+    return _sweep(cfg, params, basis, "dispersion.csv", sweep_q0, replace(solve, q0=q0_list[0]),
                   "q0", q0_list, table,
                   {"q0_min": args.q0_min, "q0_max": args.q0_max, "points": args.points})
 
@@ -317,15 +305,15 @@ def _oracle_agreement(basis, sol, fd):
     return d_omega, d_prof, agree
 
 
-def cmd_verify(cfg, params, solve, args):
+def cmd_verify(cfg, params, solve, basis, args):
     results = []
 
     def report(name, ok, detail):
         results.append(ok)
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
-    basis = _stage("basis")(_build)(cfg, params)
-    # orthonormalizing the modes would leave a residual near eps/ratio^2
+    # W scaled to a unit diagonal has condition number at least 1/ratio^2,
+    # so eps/ratio^2 is the roundoff scale of a solve with it
     ratio = basis.pivot_ratio
     report("orthonormality", np.finfo(float).eps / ratio**2 < 1e-8,
            f"smallest pivot ratio {ratio:.3e}")
@@ -364,12 +352,11 @@ def cmd_verify(cfg, params, solve, args):
     return 0 if ok else 1
 
 
-def cmd_oracle_compare(cfg, params, solve, args):
+def cmd_oracle_compare(cfg, params, solve, basis, args):
     q0, n_fd = args.q0, args.n_fd
     out = Path(cfg["output_dir"])
-    basis = _stage("basis")(_build)(cfg, params)
-    sol = _stage("solve")(minimize_on_sphere)(basis, params, replace(solve, q0=q0))
-    fd = _stage("oracle")(fd_minimize)(params, q0, n_fd=n_fd)
+    sol = minimize_on_sphere(basis, params, replace(solve, q0=q0))
+    fd = fd_minimize(params, q0, n_fd=n_fd)
     d_omega, d_prof, ok = _oracle_agreement(basis, sol, fd)
     _write_json(
         out / "oracle_compare.json", cfg, {"q0": q0, "n_fd": n_fd},
@@ -433,15 +420,19 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        run = resolve_config(args)
+        cfg, params, solve = resolve_config(args)
     except (ValueError, OSError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
+    stage = "basis"
     try:
+        basis = _build(cfg, params)
+        stage = "solve"
         # looked up per call, so a patched module global takes effect
-        return globals()["cmd_" + args.command.replace("-", "_")](*run, args)
-    except RuntimeError as exc:
-        print(f"error {exc}", file=sys.stderr)
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg, params, solve, basis, args)
+    except Exception as exc:
+        # past the config, _write makes a command's only file-system calls
+        print(f"error [{'write' if isinstance(exc, OSError) else stage}] {exc}", file=sys.stderr)
         return 1
 
 

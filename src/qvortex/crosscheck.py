@@ -15,12 +15,13 @@ judges by its own action.
 
 The finite-difference solver starts from whichever of those two profiles
 has the lower discrete action, the thin wall being offered only when its
-wall lies inside the disk. It takes tangent Newton steps from the bordered
-KKT system of its tridiagonal Hessian (one banded LU solve per step) and
-falls back to a step preconditioned by the Hessian at phi = 0 where the
-Newton step is unavailable. Near the minimizer the Newton steps converge
-quadratically, so at the benchmark parameters it stops on its discrete
-minimizer within tens of steps.
+wall lies inside the disk and it is not zero at every node. It takes
+tangent Newton steps from the bordered KKT system of its tridiagonal
+Hessian (one banded LU solve per step) and falls back to a step
+preconditioned by the Hessian at phi = 0 where the Newton step is
+unavailable. Near the minimizer the Newton steps converge quadratically,
+so at the benchmark parameters it stops on its discrete minimizer within
+tens of steps.
 
 These routines are test- and verification-time tools; the user-facing solve
 path never calls them.
@@ -115,9 +116,9 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7):
     tanh(rho)^|n| * (1 - tanh(rho - R))/2, R = sqrt(q0/(pi*a_pot)) + |n|,
     whichever has the lower discrete action once retracted onto the
     constraint; a tie keeps the bump. The thin wall is offered only when
-    R < p: a wall outside the disk can start lower and still descend to a
+    R < p, as a wall outside the disk can start lower and still descend to a
     different stationary point (n=4, p=12, q0=5000 ends at omega_sq 157.27
-    from it, 147.29 from the bump).
+    from it, 147.29 from the bump), and when it is not zero at every node.
 
     omega_sq is recovered from the discrete Rayleigh identity
     omega_sq = (4*pi/q0) * (phi . grad I(phi)).
@@ -199,8 +200,9 @@ def fd_minimize(params, q0, n_fd=2000, grad_tol=1e-7):
     n_abs = abs(params.n)
     phi = retract(_ring_bump_nodes(rho_in, n_abs, p))
     f_val, g = action_and_grad(phi)
-    if _thin_wall_radius(n_abs, q0, a_pot) < p:  # offered only with its wall inside
-        thin = retract(_thin_wall_nodes(rho_in, n_abs, q0, a_pot))
+    thin = _thin_wall_nodes(rho_in, n_abs, q0, a_pot)
+    if _thin_wall_radius(n_abs, q0, a_pot) < p and thin.any():
+        thin = retract(thin)
         f_thin, g_thin = action_and_grad(thin)
         if f_thin < f_val:
             phi, f_val, g = thin, f_thin, g_thin

@@ -56,7 +56,7 @@ class ModelParams:
 
     lam   : coupling strength, > 0
     a_pot : quartic coefficient of the potential, > 0
-    b     : quadratic coefficient, > a_pot^2/4
+    b     : quadratic coefficient, > a_pot^2/4, by enough that the window edges differ in doubles
     n     : winding number, |n| >= 1
     p     : disk radius, > 0
     """
@@ -80,6 +80,9 @@ class ModelParams:
             raise ValueError(
                 f"b > a_pot^2/4 violated: b={self.b}, a_pot^2/4={self.a_pot ** 2 / 4.0}"
             )
+        if not 2.0 * self.lam * (self.b - self.a_pot**2 / 4.0) < 2.0 * self.lam * self.b:
+            raise ValueError(f"the window 2*lam*(b - a_pot^2/4) < omega^2 < 2*lam*b is empty in "
+                             f"double precision: lam={self.lam}, a_pot={self.a_pot}, b={self.b}")
 
 
 @dataclass(frozen=True)

@@ -111,7 +111,7 @@ class SolveConfig:
                    profile tanh(rho)^|n| * (1 - tanh(rho - R))/2,
                    R = sqrt(q0/(pi*a_pot)) + |n|, and a tie keeps it.
                    None (default) starts from the lowest-F of the ring bump
-                   rho^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2),
+                   (rho/p)^|n| * (p - rho) * exp(-((rho - p/4) / (p/4))^2),
                    the linear ground mode (lowest generalized
                    eigenvector of K + n^2 C against W) and the thin
                    wall; a tie keeps the bump
@@ -192,12 +192,12 @@ def check_decay_envelope(profile, omega_sq, params):
 
     profile is phi at uniform radii from 0 to p inclusive, such as a
     solution's profile. The inner radius is p0 = 0.75*p. Returns
-    (applicable, ok, worst_excess): applicable is False when omega_sq is
-    not below decay_edge, where no decay rate exists; worst_excess is
-    max(phi^2 - bound) over the profile points in [p0, p].
+    (applicable, ok, worst_excess): applicable is True only for omega_sq
+    below decay_edge (a NaN is not), as no decay rate exists elsewhere;
+    worst_excess is max(phi^2 - bound) over the profile points in [p0, p].
     """
     p0 = _DECAY_P0_FRACTION * params.p
-    if omega_sq >= decay_edge(params):
+    if not omega_sq < decay_edge(params):
         return False, True, 0.0
     sigma = decay_rate(omega_sq, params)
     rho = np.linspace(0.0, params.p, len(profile))
@@ -275,7 +275,7 @@ def gradient_fd_check(basis, params, q0, seed=0):
 
 def _ring_bump_nodes(rho, n_abs, p):
     scale = p / 4.0
-    return rho**n_abs * (p - rho) * np.exp(-(((rho - scale) / scale) ** 2))
+    return (rho / p) ** n_abs * (p - rho) * np.exp(-(((rho - scale) / scale) ** 2))
 
 
 def _project_to_basis(basis, values):
@@ -307,8 +307,9 @@ def _initial_coeffs(basis, params, config, problem):
     profile (its large-q0 shape); a configured start_coeffs takes the place
     of the first two, next to the thin wall. The candidates are compared on
     the sphere by the factored difference of _lower, and a tie keeps the
-    first (the bump, or the configured start). The winner comes back
-    unscaled, as the descent rescales its start.
+    first (the bump, or the configured start); a shape that projects to
+    zero, such as a thin wall inside the first node, is not offered. The
+    winner comes back unscaled, as the descent rescales its start.
     """
     rho, n_abs = basis.grid.nodes, abs(params.n)
     if config.start_coeffs is not None:
@@ -324,6 +325,7 @@ def _initial_coeffs(basis, params, config, problem):
     candidates += (
         _project_to_basis(basis, _thin_wall_nodes(rho, n_abs, config.q0, params.a_pot)),
     )
+    candidates = [a for a in candidates if a.any()]
     on_sphere = [problem.onto_sphere(a, config.q0) for a in candidates]
     best = 0
     for k in range(1, len(candidates)):
@@ -510,9 +512,10 @@ def _ground_mode(problem):
     """The linear ground mode, the lowest generalized eigenvector of (K + n^2 C, W).
 
     It dominates T = (K + n^2 C)^-1 W, one LU solve. Six squarings, each
-    rescaled by its largest entry, give T^64, whose columns lie along it to
-    roundoff where (lambda_1/lambda_2)^64 does: lambda_1/lambda_2 =
-    (j_n,1/j_n,2)^2 is at most 0.58 for n <= 8.
+    rescaled by its largest entry, give T^64, whose columns lie along it as
+    far as (lambda_1/lambda_2)^64 = (j_n,1/j_n,2)^128 allows. At p = 20,
+    1 - cos is at roundoff up to n = 30, 3e-10 at n = 60 and 5e-4 at
+    n = 300: only a start, which the descent refines.
     """
     power = np.linalg.solve(problem.mat, problem.gram)
     for _ in range(6):

@@ -106,6 +106,27 @@ class TestSolveCommand:
         assert run("solve", "--set", "b=0.9", "--out", str(tmp_path)) == 2
         assert "a_pot^2/4" in capsys.readouterr().err
 
+    def test_rejects_a_window_empty_in_doubles(self, tmp_path, capsys):
+        # 2*lam*(b - a_pot^2/4) == 2*lam*b in doubles, where theory_bounds cannot work
+        assert run("solve", "--set", "a_pot=1e-300", "--set", "b=1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error [config]: the window ")
+
+    @pytest.mark.parametrize("argv", [["--n", "300"], ["--set", "p=1e5"], ["--set", "p=1e9"]],
+                             ids=["n=300", "p=1e5", "p=1e9"])
+    def test_extreme_winding_and_radius_converge(self, tmp_path, argv):
+        # the ring bump must stay finite at |n| = 300; past p = 1e5 the thin wall is zero
+        # at every node and must not be offered
+        assert run("solve", *argv, "--out", str(tmp_path)) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_norm_writes_its_files_and_fails(self, tmp_path, capsys):
+        # omega_sq is NaN: the decay envelope does not apply, and the solve did not converge
+        assert run("solve", "--q0", "1e300", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error [solve]: did not converge")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "bounds.json", "profile.csv", "solution.json"]
+
     def test_nonconvergence_gives_nonzero_exit(self, tmp_path, capsys):
         rc = run(
             "solve", "--q0", "100", "--out", str(tmp_path),
@@ -291,6 +312,16 @@ class TestVerifyCommand:
     def test_negative_winding_passes(self, tmp_path):
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
 
+    def test_wide_disk_passes(self, tmp_path):
+        # the thin wall lies inside the first node of either solver
+        assert run("verify", "--out", str(tmp_path), "--set", "p=1e6") == 0
+
+    def test_high_winding_prints_every_line(self, tmp_path, capsys):
+        # the FD oracle's ring bump must stay finite at |n| = 150
+        assert run("verify", "--out", str(tmp_path), "--n", "150") == 1
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 7 and err == ""
+
     @pytest.mark.parametrize("n", ["11", "-12"])
     def test_winding_beyond_ten_passes(self, tmp_path, capsys, n):
         # the linear-limit Bessel zero has no order cap
@@ -474,9 +505,33 @@ class TestParser:
         assert outputs[0] == outputs[1]
         assert qvortex.cli._build_parser.cache_info().misses == 1
 
+    @pytest.mark.parametrize("argv, target", [
+        (["solve"], "minimize_on_sphere"),
+        (["table1"], "sweep_q0"),
+        (["table2"], "sweep_n"),
+        (["dispersion", "--points", "3"], "theory_bounds"),
+        (["verify"], "minimize_on_sphere"),
+        (["verify"], "fd_minimize"),
+        (["oracle-compare"], "fd_minimize"),
+    ], ids=["solve", "table1", "table2", "dispersion", "verify", "verify-oracle",
+            "oracle-compare"])
+    def test_a_failure_past_the_basis_is_one_solve_line(
+        self, tmp_path, capsys, monkeypatch, argv, target
+    ):
+        # main is the one handler: no exception leaves it, and every step of a
+        # command after the basis build is labeled [solve]
+        def failing(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(qvortex.cli, target, failing)
+        assert run(*argv, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error [solve] float division by zero\n"
+
     def test_dispatch_reads_the_module_global(self, monkeypatch):
         qvortex.cli._build_parser()  # cached before the patch
-        monkeypatch.setattr(qvortex.cli, "cmd_oracle_compare", lambda cfg, params, solve, args: 7)
+        monkeypatch.setattr(
+            qvortex.cli, "cmd_oracle_compare", lambda cfg, params, solve, basis, args: 7
+        )
         assert run("oracle-compare") == 7
 
     @pytest.mark.parametrize("argv, sweep", [

