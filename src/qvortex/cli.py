@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .basis import build_basis, evaluate_uniform, evaluate_uniform_derivatives
-from .crosscheck import N_FD_MIN, bessel_first_zero, fd_minimize
+from .crosscheck import N_FD_MIN, bessel_first_zero, check_bessel_order, fd_minimize
 from .model import BENCHMARK_Q0, ModelParams, theory_bounds
 from .quadrature import build_grid
 from .solver import (
@@ -147,7 +148,7 @@ def resolve_config(args):
 def _check_flags(args, params):
     """Reject out-of-range values of the command's own flags, and windings verify cannot check."""
     if args.command == "verify":
-        bessel_first_zero(abs(params.n))  # the linear-limit zero; raises past its order bound
+        check_bessel_order(abs(params.n))  # the order bound of the linear-limit zero
     if args.command in ("solve", "oracle-compare"):
         check_positive("--q0", args.q0)
     if args.command == "oracle-compare":
@@ -187,10 +188,24 @@ def _write_csv(path, cfg, extra, table):
     _write(path, "\n".join(lines) + "\n")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, cfg, extra, payload):
-    """A JSON artifact: payload plus the artifact_version and config keys."""
+    """A strict JSON artifact: payload plus the artifact_version and config keys.
+
+    A non-finite float, such as the omega_sq of an overflowing solve, is
+    written as null: NaN and Infinity are not JSON.
+    """
     payload = {"artifact_version": __version__, "config": _config_echo(cfg, extra), **payload}
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write(path, text + "\n")
 
 
 def _build(cfg, params):

@@ -49,6 +49,16 @@ _BESSEL_ROWS = 60  # size of bessel_first_zero's tridiagonal matrix
 _BESSEL_ORDER_MAX = 4260
 
 
+def check_bessel_order(order):
+    """order as an int in 0.._BESSEL_ORDER_MAX, the orders bessel_first_zero
+    serves; ValueError otherwise."""
+    order = check_positive_int("order", order, minimum=0)
+    if order > _BESSEL_ORDER_MAX:
+        raise ValueError(f"Bessel order {order} exceeds {_BESSEL_ORDER_MAX}, the largest "
+                         f"at which the {_BESSEL_ROWS}-row zero holds 1e-14")
+    return order
+
+
 def bessel_first_zero(order):
     """First positive zero j of J_order, order an int in 0.._BESSEL_ORDER_MAX.
 
@@ -61,10 +71,7 @@ def bessel_first_zero(order):
     49 at 2000). Past _BESSEL_ORDER_MAX the truncation error grows quickly,
     so a larger order raises ValueError rather than return a wrong zero.
     """
-    order = check_positive_int("order", order, minimum=0)
-    if order > _BESSEL_ORDER_MAX:
-        raise ValueError(f"Bessel order {order} exceeds {_BESSEL_ORDER_MAX}, the largest "
-                         f"at which the {_BESSEL_ROWS}-row zero holds 1e-14")
+    order = check_bessel_order(order)
     s = order + 2.0 * np.arange(1, _BESSEL_ROWS + 1)
     off = 1.0 / ((s[:-1] + 1.0) * np.sqrt(s[:-1] * (s[:-1] + 2.0)))
     matrix = np.diag(2.0 / ((s - 1.0) * (s + 1.0))) + np.diag(off, 1) + np.diag(off, -1)

@@ -83,6 +83,7 @@ __all__ = [
     "check_decay_envelope",
     "check_solution",
     "gradient_fd_check",
+    "branch_tangent",
 ]
 
 PROFILE_POINTS = 2001
@@ -432,6 +433,11 @@ class _SphereProblem:
         factor *= bracket
         return quad + self.lam * (factor @ self.w_rho), phi_c
 
+    def curvature(self, phi):
+        """The nodal curvature weights v = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) of hessian."""
+        ph2 = phi * phi
+        return self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
+
     def hessian(self, phi):
         """Exact Hessian H = K + n^2 C + B of F at the c with phi = c @ S.
 
@@ -449,9 +455,7 @@ class _SphereProblem:
         corner mode chi, adds one row and column, S.(v*chi), by a direct
         O(m*N) product.
         """
-        ph2 = phi * phi
-        curv = self.lam * self.w_rho * ph2 * (30.0 * ph2 - 12.0 * self.a_pot)
-        moments = self.cos_nodes @ curv
+        moments = self.cos_nodes @ self.curvature(phi)
         moments *= 0.5
         products = moments[self.diff]
         products -= moments[self.total]
@@ -496,16 +500,50 @@ class _SphereProblem:
         Either step then loses its component along x, which leaves d.gt as is.
         """
         r = self.reduced_hessian(x, phi_x, theta)
-        try:
-            np.linalg.cholesky(r)
-        except np.linalg.LinAlgError:
+        if _passes_cholesky(r):
+            d = np.linalg.solve(r, gt)
+        else:
             evals, evecs = np.linalg.eigh(self.to_unit @ r @ self.to_unit.T)
             scale = np.maximum(np.abs(evals), 1e-8 * float(np.max(np.abs(evals))))
             d = self.to_unit.T @ (evecs @ ((evecs.T @ (self.to_unit @ gt)) / scale))
-        else:
-            d = np.linalg.solve(r, gt)
         w_x = self.gram @ x
         return d - (float(np.dot(w_x, d)) / float(np.dot(w_x, x))) * x
+
+
+def _passes_cholesky(r):
+    """Whether r, a reduced Hessian, factors by Cholesky: positive definite."""
+    try:
+        np.linalg.cholesky(r)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def branch_tangent(basis, params, coeffs, q0):
+    """dc/dq0 along the branch of minimizers through the converged coeffs, or None.
+
+    Differentiating g(c) = theta*W.c and c.W.c = q0 in q0 gives
+    B.c' = theta'*W.c and c.W.c' = 1/2, B = H - theta*W at theta = c.g/q0.
+    So c' = c/(2*q0) + t with t tangent, and projecting out W.c with
+    P^T.v = v - W.c*(c.v)/q0 leaves P^T.B.t = -P^T.B.c/(2*q0). On tangent
+    vectors the reduced Hessian R acts as P^T.B, and R^-1 maps a vector
+    that c annihilates to a tangent one, so t = -R^-1.P^T.B.c/(2*q0): the
+    linear algebra of a Newton step (one O(m^2) assembly of R, its
+    Cholesky test and one LU solve) without its line search. Where R fails
+    that test the point is no strict local minimum on the sphere, and None
+    is returned.
+    """
+    problem = _SphereProblem(basis, params)
+    c = check_coeffs("coeffs", coeffs, basis.m)
+    phi = problem.phi(c)
+    theta = float(c @ problem.gradient(c, phi)) / q0
+    r = problem.reduced_hessian(c, phi, theta)
+    if not _passes_cholesky(r):
+        return None
+    w_c = problem.gram @ c
+    # H.c = (K + n^2 C).c + S.(v*phi), as phi = c @ S
+    b_c = problem.mat @ c + problem.sines @ (problem.curvature(phi) * phi) - theta * w_c
+    return (c - np.linalg.solve(r, b_c - (float(c @ b_c) / q0) * w_c)) / (2.0 * q0)
 
 
 def _ground_mode(problem):

@@ -2,22 +2,29 @@
 
 Each sweep returns one VortexSolution per input value, in input order.
 Both sweeps are continuations (Allgower & Georg, Numerical Continuation
-Methods, 1990) run by one loop: each row after the first is offered the
-last converged minimizer, rescaled onto its sphere, as start_coeffs, which
-keeps the profile shape and cuts iteration counts sharply. The solver
-compares that start with the thin-wall profile at the row's (n, q0) and
-descends from the lower F: rescaling a saturated ring onto a larger sphere
-lifts its plateau, while the thin wall widens the ring at the plateau
-amplitude, so far into the saturation regime the wall wins (Table 1 takes
-31 steps, 61 from the previous row alone). Sweeps over the winding number n
-reuse a single basis, because both Galerkin matrices are n-independent.
+Methods, 1990) run by one loop: each row after the first is offered a
+start built from the last converged minimizer c as start_coeffs, which
+keeps the profile shape and cuts iteration counts sharply. Where the next
+row's q0 differs, as in every norm sweep, the start is an Euler predictor
+along the branch tangent c' = dc/dq0 (solver.branch_tangent), linear in
+log q0: c + q0*c'*ln(q0_next/q0). A winding sweep, or a row whose reduced
+Hessian fails Cholesky, offers c itself. The solver rescales the start
+onto the row's sphere, compares it with the thin-wall profile at the row's
+(n, q0) and descends from the lower F: rescaling a saturated ring onto a
+larger sphere lifts its plateau, while the thin wall widens the ring at
+the plateau amplitude, so far into the saturation regime the wall wins
+(Table 1 takes 31 steps, 61 from the previous row alone). The default
+dispersion sweep takes 99 steps, 115 from c rescaled and 108 from a secant
+in log q0. Sweeps over the winding number n reuse a single basis, because
+both Galerkin matrices are n-independent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
-from .solver import minimize_on_sphere
+from .solver import branch_tangent, minimize_on_sphere
 from .validation import check_positive
 
 __all__ = ["sweep_q0", "sweep_n"]
@@ -25,13 +32,18 @@ __all__ = ["sweep_q0", "sweep_n"]
 
 def _continue(basis, rows, config):
     """Solve the (params, q0) rows in order, from config.start_coeffs first
-    and then from the last converged row; unconverged rows are recorded."""
-    solutions = []
-    for params, q0 in rows:
-        sol = minimize_on_sphere(basis, params, replace(config, q0=q0))
+    and then from the last converged row, predicted along its branch tangent
+    where the next row's q0 differs; unconverged rows are recorded."""
+    solutions, start = [], config.start_coeffs
+    for k, (params, q0) in enumerate(rows):
+        sol = minimize_on_sphere(basis, params, replace(config, q0=q0, start_coeffs=start))
         solutions.append(sol)
         if sol.converged:
-            config = replace(config, start_coeffs=tuple(sol.coeffs))
+            start = sol.coeffs
+            q0_next = rows[k + 1][1] if k + 1 < len(rows) else q0
+            tangent = branch_tangent(basis, params, start, q0) if q0_next != q0 else None
+            if tangent is not None:
+                start = start + (q0 * math.log(q0_next / q0)) * tangent
     return solutions
 
 

@@ -127,6 +127,14 @@ class TestSolveCommand:
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "bounds.json", "profile.csv", "solution.json"]
 
+        # strict JSON: the non-finite values are written as null
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sol, _ = (json.loads((tmp_path / name).read_text(), parse_constant=reject)
+                  for name in ("solution.json", "bounds.json"))
+        assert (sol["omega_sq"], sol["f_value"]) == (None, None)
+
     def test_nonconvergence_gives_nonzero_exit(self, tmp_path, capsys):
         rc = run(
             "solve", "--q0", "100", "--out", str(tmp_path),
@@ -264,6 +272,18 @@ class TestVerifyCommand:
         for name in ("orthonormality", "gradient_fd", "bounds", "decay",
                      "linear_limit", "oracle_cross"):
             assert f"{name}: PASS" in printed
+
+    def test_computes_the_bessel_zero_once(self, tmp_path, monkeypatch):
+        # the config check compares the order with the bound and computes no zero
+        orders = []
+
+        def counted(order, _fn=qvortex.cli.bessel_first_zero):
+            orders.append(order)
+            return _fn(order)
+
+        monkeypatch.setattr(qvortex.cli, "bessel_first_zero", counted)
+        assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
+        assert orders == [2]
 
     def test_unconverged_solves_fail_their_lines(self, tmp_path, capsys):
         # a tolerance no solve can meet leaves both the Q0=100 and the Q0=0.01

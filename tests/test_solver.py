@@ -28,6 +28,7 @@ from qvortex.solver import (
     _rowdot,
     _SphereProblem,
     _thin_wall_nodes,
+    branch_tangent,
     check_solution,
     gradient_fd_check,
 )
@@ -675,6 +676,30 @@ class TestNewtonDirection:
         )
 
 
+class TestBranchTangent:
+    @pytest.mark.parametrize("p, q0", [(20.0, 10.0), (20.0, 100.0), (20.0, 1000.0), (8.0, 150.0)])
+    def test_matches_central_differences_of_minimizers(self, p, q0):
+        # dc/dq0 against (c(q0 + h) - c(q0 - h))/(2h), h = 1e-4*q0, in the W
+        # norm; measured 1.3e-7 at most, the O(h^2) truncation, also at p=8,
+        # q0=150, next to the minimum of omega^2(q0)
+        params = ModelParams(p=p)
+        basis = build_basis(params, 60, build_grid(p, panels=48, order_per_panel=8))
+        lower, centre, upper = (
+            minimize_on_sphere(basis, params, SolveConfig(q0=q, grad_tol=1e-12))
+            for q in (q0 * (1.0 - 1e-4), q0, q0 * (1.0 + 1e-4))
+        )
+        assert lower.converged and centre.converged and upper.converged
+        tangent = branch_tangent(basis, params, centre.coeffs, q0)
+        error = (upper.coeffs - lower.coeffs) / (2e-4 * q0) - tangent
+        assert math.sqrt(w_norm_sq(basis, error) / w_norm_sq(basis, tangent)) < 1e-6
+
+    def test_no_tangent_where_the_reduced_hessian_is_indefinite(
+        self, basis, params, solve, monkeypatch
+    ):
+        monkeypatch.setattr("qvortex.solver._passes_cholesky", lambda r: False)
+        assert branch_tangent(basis, params, solve(100.0).coeffs, 100.0) is None
+
+
 class TestColdStart:
     """A solve without start_coeffs starts from the lowest-F of three profiles,
     one with start_coeffs from the lower of that start and the thin wall."""
@@ -748,11 +773,21 @@ class TestSolveCost:
     def test_table1_continues_in_few_steps(self, basis, params, table1):
         # rows take 4, 6, 6, 5, 5, 5 steps; each row after the first starts
         # from the thin wall, which has a lower F than the previous row's
-        # minimizer. Started from that minimizer they took 4, 14, 8, 10, 11, 14
+        # minimizer, rescaled or predicted along the branch tangent. Started
+        # from that minimizer rescaled they took 4, 14, 8, 10, 11, 14
         for q0, sol in table1[0]:
             assert sol.converged, q0
             certify_minimum(basis, params, sol, q0)
-        assert sum(sol.iterations for _, sol in table1[0]) <= 35
+        assert sum(sol.iterations for _, sol in table1[0]) == 31
+
+    def test_dispersion_sweep_continues_along_the_branch_tangent(self, basis, params):
+        # the default dispersion sweep, 25 log-spaced q0 in [10, 1000], takes
+        # 99 steps with each row predicted along the branch tangent; 115 from
+        # the previous minimizer rescaled, 108 from a secant in log q0
+        q0_list = np.geomspace(10.0, 1000.0, 25).tolist()
+        solutions = sweep_q0(params, basis, q0_list, SolveConfig(q0=q0_list[0]))
+        assert all(sol.converged for sol in solutions)
+        assert sum(sol.iterations for sol in solutions) <= 100
 
     def test_wide_disk_winding_sweep_continues_in_few_steps(self):
         # at p=40 cold rows take 6, 5, 10, 36, 38 steps; continued rows 6, 7, 7, 9, 10
@@ -770,13 +805,16 @@ class TestSolveCost:
         assert sol.converged and sol.iterations <= 2
 
     def test_warm_start_next_to_a_saddle_leaves_it_quickly(self, basis, params):
-        # the q0=14.68 row starts from the q0=12.12 minimizer rescaled, where
-        # the reduced Hessian has a small negative eigenvalue, so its first
-        # steps are eigen-modified
+        # the q0=12.12 minimizer rescaled onto the q0=14.68 sphere, where the
+        # reduced Hessian has a small negative eigenvalue, so the first steps
+        # are eigen-modified (9 steps; a norm sweep predicts that row along
+        # the branch tangent instead, where R is positive, and takes 8)
         q0_list = list(np.geomspace(10.0, 1000.0, 25)[:3])
-        solutions = sweep_q0(params, basis, q0_list, SolveConfig(q0=q0_list[0]))
-        assert all(sol.converged for sol in solutions)
-        assert solutions[2].iterations <= 30
+        first, second = sweep_q0(params, basis, q0_list[:2], SolveConfig(q0=q0_list[0]))
+        config = SolveConfig(q0=q0_list[2], start_coeffs=tuple(second.coeffs))
+        solution = minimize_on_sphere(basis, params, config)
+        assert first.converged and second.converged and solution.converged
+        assert solution.iterations <= 30
 
     def test_norm_winding_grid_converges_well_inside_max_iter(self, basis, params):
         total = 0

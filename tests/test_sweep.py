@@ -125,7 +125,7 @@ class TestSweepN:
 def test_each_row_starts_from_the_last_converged_row(
     monkeypatch, params, basis, sweep, values, rows
 ):
-    calls = []
+    calls, tangents = [], []
 
     def spy(basis, params, config):
         row = len(calls)
@@ -133,8 +133,43 @@ def test_each_row_starts_from_the_last_converged_row(
         # row 1 does not converge, so row 2 starts from row 0 as well
         return SimpleNamespace(coeffs=np.full(2, float(row)), converged=row != 1)
 
+    def tangent(basis, params, coeffs, q0):
+        # the fake solutions carry no minimizer; dc/dq0 = 1/q0 moves each
+        # predicted start by ln(q0_next/q0)
+        tangents.append(q0)
+        return np.full(2, 1.0 / q0)
+
     monkeypatch.setattr("qvortex.sweep.minimize_on_sphere", spy)
+    monkeypatch.setattr("qvortex.sweep.branch_tangent", tangent)
     solutions = sweep(params, basis, values, SolveConfig(q0=10.0, start_coeffs=(7.0, 7.0)))
     assert [sol.coeffs[0] for sol in solutions] == [0.0, 1.0, 2.0, 3.0]
     assert [(n, q0) for n, q0, _ in calls] == rows
-    assert [start for _, _, start in calls] == [(7.0, 7.0), (0.0, 0.0), (0.0, 0.0), (2.0, 2.0)]
+    starts = [start for _, _, start in calls]
+    if sweep is sweep_n:
+        # the rows share q0, so no tangent is taken
+        assert tangents == []
+        assert starts == [(7.0, 7.0), (0.0, 0.0), (0.0, 0.0), (2.0, 2.0)]
+    else:
+        # a tangent at each converged row that another row follows moves the
+        # start by ln(q0_next/q0); row 2 reuses the prediction row 0 made
+        assert tangents == [10.0, 30.0]
+        log2, log43 = math.log(2.0), math.log(4.0 / 3.0)
+        expected = [(7.0, 7.0), (log2, log2), (log2, log2), (2.0 + log43, 2.0 + log43)]
+        np.testing.assert_allclose(starts, expected, rtol=1e-14)
+
+
+def test_an_indefinite_branch_falls_back_to_the_rescaled_minimizer(monkeypatch, params, basis):
+    # no tangent where R fails Cholesky, so each row is offered the last
+    # converged minimizer as it is, as a winding sweep's rows are
+    starts = []
+
+    def recording(basis, params, config, _fn=minimize_on_sphere):
+        starts.append(config.start_coeffs)
+        return _fn(basis, params, config)
+
+    monkeypatch.setattr("qvortex.solver._passes_cholesky", lambda r: False)
+    monkeypatch.setattr("qvortex.sweep.minimize_on_sphere", recording)
+    solutions = sweep_q0(params, basis, [50.0, 60.0, 70.0], SolveConfig(q0=50.0))
+    assert all(sol.converged for sol in solutions)
+    assert starts == [None, tuple(solutions[0].coeffs), tuple(solutions[1].coeffs)]
+
