@@ -59,6 +59,8 @@ class ModelParams:
     b     : quadratic coefficient, > a_pot^2/4, by enough that the window edges differ in doubles
     n     : winding number, |n| >= 1
     p     : disk radius, > 0
+
+    A set whose theory_bounds are not all finite in doubles is rejected too.
     """
 
     lam: float = 1.0
@@ -83,6 +85,10 @@ class ModelParams:
         if not 2.0 * self.lam * (self.b - self.a_pot**2 / 4.0) < 2.0 * self.lam * self.b:
             raise ValueError(f"the window 2*lam*(b - a_pot^2/4) < omega^2 < 2*lam*b is empty in "
                              f"double precision: lam={self.lam}, a_pot={self.a_pot}, b={self.b}")
+        bounds = vars(theory_bounds(self))
+        if not all(math.isfinite(v) for v in bounds.values()):
+            raise ValueError(f"the closed-form bounds are not finite in double precision: "
+                             f"lam={self.lam}, a_pot={self.a_pot}, b={self.b}, {bounds}")
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,7 @@ def decay_rate(omega_sq, params):
     return math.sqrt(edge - omega_sq)
 
 
-def p_star_bound(params, omega_sq):
+def p_star_bound(params, omega_sq=None):
     """Sufficient disk radius for a trapezoidal trial profile to go subcritical.
 
     The trial profile ramps linearly to height t over [0, 1], stays flat on
@@ -155,35 +161,42 @@ def p_star_bound(params, omega_sq):
     is -A*p^2 + B*p + C*log(p) plus terms bounded in p, with
 
         A = (lam*a_pot/4) * (omega_sq/(2*lam) - (b - a_pot^2/4))
+          = lam*a_pot*(a_pot^2 - 4*c)/16
         B = t^2/2 - lam*[t^6 - a_pot*t^4 + c*t^2]
             + lam*[t^6/7 - (a_pot/5)*t^4 + (c/3)*t^2]
-        C = n^2 * t^2 / 2
+          = a_pot*(39*lam*a_pot^2 - 140*lam*c + 105)/420
+        C = n^2 * t^2 / 2 = a_pot*n^2/4
 
     The plateau gives -A*p^2 and its -lam*[...] share of B (int rho drho =
     p^2/2 - p there), the outer ramp the gradient's t^2/2 and the second
     bracket, and the centrifugal term on the plateau C*log(p - 1). Bounding
     log(p) < p folds C into the linear term, and this function returns
-    (B + C)/A. The slack C*(p - log(p)) left there must cover the bounded
-    terms (the ramps' constants and the outer ramp's centrifugal part); a
-    test checks by quadrature that the trial action at the returned radius
-    is negative for n = 1, 2, 3 across the window.
+    (B + C)/A, each divided by a_pot first so that no power of a_pot above
+    the second is formed. The slack C*(p - log(p)) left there must cover the
+    bounded terms (the ramps' constants and the outer ramp's centrifugal
+    part); a test checks by quadrature that the trial action at the returned
+    radius is negative for n = 1, 2, 3 across the window.
     A > 0 requires omega_sq above the lower window edge; below it the
     construction fails and ValueError is raised.
+
+    omega_sq None (the default) is the midpoint of the window, where
+    c = a_pot^2/8 exactly; taken from the midpoint's double, c would be the
+    difference of two numbers near b, and off by ulp(b) where the window is
+    a few ulps wide.
     """
-    omega_sq = check_finite("omega_sq", omega_sq)
-    lam, a, b = params.lam, params.a_pot, params.b
-    t2 = a / 2.0
-    c = b - omega_sq / (2.0 * lam)
-    bracket = t2**3 - a * t2**2 + c * t2
-    coef_a = -lam * bracket / 2.0
-    if coef_a <= 0.0:
+    lam, a = params.lam, params.a_pot
+    if omega_sq is None:
+        c = a * a / 8.0
+    else:
+        c = params.b - check_finite("omega_sq", omega_sq) / (2.0 * lam)
+    gap = a * a - 4.0 * c  # 16*A/(lam*a_pot); lam*gap could underflow to 0, so divide by each
+    if not gap > 0.0:
         raise ValueError(
             f"p_star undefined: omega_sq = {omega_sq} is not above the lower "
-            f"window edge 2*lam*(b - a_pot^2/4) = {2.0 * lam * (b - a * a / 4.0)}"
+            f"window edge 2*lam*(b - a_pot^2/4) = {2.0 * lam * (params.b - a * a / 4.0)}"
         )
-    coef_b = t2 / 2.0 - lam * bracket - lam * ((a / 5.0) * t2**2 - t2**3 / 7.0 - (c / 3.0) * t2)
-    coef_c = params.n**2 * t2 / 2.0
-    return (coef_b + coef_c) / coef_a
+    coef_b = (39.0 * lam * a * a - 140.0 * lam * c + 105.0) / 420.0
+    return 16.0 * (coef_b + params.n**2 / 4.0) / lam / gap
 
 
 def theory_bounds(params):
@@ -204,7 +217,7 @@ def theory_bounds(params):
         omega_sq_necessary=omega_sq_necessary,
         phi_max_ceiling=math.sqrt(2.0 * a / 3.0),
         q0_threshold=math.pi * abs(params.n) / (a * lam),
-        p_star=p_star_bound(params, omega_sq),
+        p_star=p_star_bound(params),
         p_star_omega_sq=omega_sq,
     )
 

@@ -31,10 +31,20 @@ eigen-modified Newton step instead: the eigenvalues of R, taken in
 orthonormal coordinates (L^-1.R.L^-T for W = L.L^T), are replaced by their
 absolute values, which keeps the curvature information and turns the
 saddle's negative directions into descent directions. Either way Armijo
-backtracking from the full step picks the step length, and the iterate is
-retracted by rescaling back to c.W.c = Q0 (an exact retraction). The
-stopping test measures gradients in the metric W, |v| = |L^-1.v|, as in
-orthonormal coordinates, so it does not depend on how the modes are scaled.
+backtracking by halves from the full step picks the step length, and the
+iterate is retracted by rescaling back to c.W.c = Q0 (an exact
+retraction). A full step that passes at the first trial is checked
+against the Newton model: with slope = d.(g - theta*W.c) the model
+predicts the decrease slope/2, and the quadratic through F(0),
+F'(0) = -slope and F(1) has its minimizer at eta* = 1/(2 - rho), rho the
+actual decrease over the predicted one. Where rho < 2 and eta*, capped at
+2, lies more than 0.1 from 1, one more trial at eta* is taken and the
+lower F of the two is kept (Nocedal & Wright, Numerical Optimization,
+2006, sec. 3.5): an unrefined unit step over- or undershoots for several
+steps before the quadratic phase, which Armijo alone, asking only for some
+decrease, never notices. The stopping test measures gradients in the
+metric W, |v| = |L^-1.v|, as in orthonormal coordinates, so it does not
+depend on how the modes are scaled.
 
 The squared frequency is the Lagrange multiplier of the norm constraint:
 
@@ -91,6 +101,8 @@ PROFILE_POINTS = 2001
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _ETA_MIN = 1e-18
+_ETA_BAND = 0.1  # a unit step whose model minimizer eta* is this far off gets one more trial
+_ETA_MAX = 2.0  # the cap on eta*
 
 _DECAY_P0_FRACTION = 0.75  # inner radius of the decay envelope, over p
 _FD_POINTS = 10  # random points of the gradient check
@@ -563,7 +575,14 @@ def _ground_mode(problem):
 
 
 def _descend(x0, q0, problem, grad_tol, max_iter, callback):
-    """Descent on the sphere c.W.c = q0 along the (eigen-modified) Newton-KKT step."""
+    """Descent on the sphere c.W.c = q0 along the (eigen-modified) Newton-KKT step.
+
+    Each step length is the first of 1, 1/2, 1/4, ... that passes Armijo;
+    an accepted unit step also competes, by the factored difference, with
+    one trial at the model minimizer eta* where that lies outside
+    1 +- _ETA_BAND (see the module docstring). f_led sums the kept
+    differences.
+    """
     x = problem.onto_sphere(x0, q0)
     phi_x = problem.phi(x)
     f_led = 0.0 if callback is None else problem.value(x)  # only the callback reads it
@@ -595,6 +614,16 @@ def _descend(x0, q0, problem, grad_tol, max_iter, callback):
             eta *= _BACKTRACK
         if not accepted:
             break
+        rho = -2.0 * df / slope  # the actual decrease over the model's, slope/2
+        if eta == 1.0 and rho < 2.0:
+            # the quadratic through F(0), F'(0) = -slope and F(1) bottoms out
+            # at eta* = 1/(2 - rho); try it where it is far from the unit step
+            eta_star = min(1.0 / (2.0 - rho), _ETA_MAX)
+            if abs(eta_star - 1.0) > _ETA_BAND:
+                refined = problem.onto_sphere(x - eta_star * d, q0)
+                df_refined, phi_refined = problem.delta(x, phi_x, refined, theta)
+                if df_refined < df:
+                    cand, df, phi_c = refined, df_refined, phi_refined
         x, phi_x = cand, phi_c
         f_led += df
         g = problem.gradient(x, phi_x)

@@ -13,10 +13,11 @@ onto the row's sphere, compares it with the thin-wall profile at the row's
 (n, q0) and descends from the lower F: rescaling a saturated ring onto a
 larger sphere lifts its plateau, while the thin wall widens the ring at
 the plateau amplitude, so far into the saturation regime the wall wins
-(Table 1 takes 31 steps, 61 from the previous row alone). The default
-dispersion sweep takes 99 steps, 115 from c rescaled and 108 from a secant
-in log q0. Sweeps over the winding number n reuse a single basis, because
-both Galerkin matrices are n-independent.
+(Table 1 takes 29 steps, 58 from the previous row alone). The default
+dispersion sweep takes 97 steps; without the solver's refined unit step
+it took 99, and 115 from c rescaled and 108 from a secant in log q0.
+Sweeps over the winding number n reuse a single basis, because both
+Galerkin matrices are n-independent.
 """
 
 from __future__ import annotations

@@ -111,6 +111,13 @@ class TestSolveCommand:
         assert run("solve", "--set", "a_pot=1e-300", "--set", "b=1", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith("error [config]: the window ")
 
+    def test_rejects_bounds_not_finite_in_doubles(self, tmp_path, capsys):
+        # 2*lam*b overflows, so the window's upper edge is not finite
+        assert run("solve", "--set", "a_pot=1e154", "--set", "b=1e308",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error [config]: the closed-form bounds are not finite in double precision")
+
     @pytest.mark.parametrize("argv", [["--n", "300"], ["--set", "p=1e5"], ["--set", "p=1e9"]],
                              ids=["n=300", "p=1e5", "p=1e9"])
     def test_extreme_winding_and_radius_converge(self, tmp_path, argv):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -49,16 +50,38 @@ class TestModelParams:
             PARAMS.b = 2.0
 
     def test_every_accepted_set_has_finite_bounds(self):
-        # a set whose window is empty in doubles is rejected (theory_bounds
-        # raises on 1,072 of these), and every accepted set has finite bounds
-        for a_pot in np.geomspace(1e-320, 1e-3, 400).tolist():
-            for b in (1.0, 1.1, 3.0, 1e10):
-                if 2.0 * (b - a_pot**2 / 4.0) == 2.0 * b:
-                    with pytest.raises(ValueError, match="empty in double precision"):
-                        ModelParams(a_pot=a_pot, b=b)
-                else:
-                    bounds = theory_bounds(ModelParams(a_pot=a_pot, b=b))
-                    assert all(math.isfinite(v) for v in vars(bounds).values())
+        # a set whose window is empty in doubles, or whose bounds are not
+        # finite in doubles, is rejected; every accepted set has finite
+        # bounds and p_star = 8*(1 + n^2)/(lam*a_pot^2) + 172/105, the
+        # midpoint's closed form. Taken from the midpoint's double, p_star
+        # raised at 63 of the scan's sets and was not finite at 41 more; the
+        # last set's window is a few ulps wide, and c = b - omega_sq/(2*lam)
+        # came out as ulp(b) = 1.9e-6 against the true a_pot^2/8 = 5.8e-7
+        sets = [(lam, a_pot, b)
+                for lam in np.geomspace(1e-320, 1e300, 63).tolist()
+                for a_pot in np.geomspace(1e-320, 1e3, 400).tolist()
+                for b in (1.0, 1.1, 3.0, 1e10)]
+        sets.append((0.9999946131373971, 0.002154434269241402, 1e10))
+        rejected = Counter()
+        accepted = 0
+        for lam, a_pot, b in sets:
+            try:
+                params = ModelParams(lam=lam, a_pot=a_pot, b=b)
+            except ValueError as exc:
+                rejected[str(exc).split(":")[0]] += 1
+                continue
+            bounds = theory_bounds(params)
+            assert all(math.isfinite(v) for v in vars(bounds).values())
+            exact = 16 / (Fraction(lam) * Fraction(a_pot) ** 2) + Fraction(172, 105)
+            assert bounds.p_star == pytest.approx(float(exact), rel=1e-13)
+            accepted += 1
+        assert accepted == 2287
+        assert rejected == {
+            "b > a_pot^2/4 violated": 756,
+            "the window 2*lam*(b - a_pot^2/4) < omega^2 < 2*lam*b is empty in double precision":
+                97698,
+            "the closed-form bounds are not finite in double precision": 60,
+        }
 
 
 class TestPotential:
@@ -156,7 +179,7 @@ class TestPStar:
         assert expected == pytest.approx(float(Fraction(592, 105)), rel=1e-15)
         bounds = theory_bounds(PARAMS)
         assert bounds.p_star_omega_sq == pytest.approx(1.2, abs=1e-14)
-        assert bounds.p_star == pytest.approx(expected, rel=1e-12)
+        assert bounds.p_star == pytest.approx(expected, rel=1e-15)
 
     def test_coefficients_match_a_symbolic_derivation(self):
         # the trial action integrated piece by piece: the inner ramp (bounded

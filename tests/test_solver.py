@@ -22,6 +22,7 @@ from qvortex import (
 from qvortex.model import decay_edge, potential_derivative, theory_bounds
 from qvortex.solver import (
     _DELTA_WORK_ARRAYS,
+    _descend,
     _ground_mode,
     _initial_coeffs,
     _project_to_basis,
@@ -761,36 +762,120 @@ class TestColdStart:
         np.testing.assert_array_equal(start, solve(100.0).coeffs)
 
 
+class TestRefinedUnitStep:
+    """After an accepted unit step, one more trial at the minimizer eta* of the
+    quadratic through F(0), F'(0) = -slope and F(1), where |eta* - 1| > 0.1."""
+
+    @pytest.mark.parametrize(
+        "p, n, q0, outcomes",
+        [(20.0, 3, 100.0, {"unit", "kept", "dropped", "backtracked"}),
+         (24.0, 4, 100.0, {"unit", "kept", "dropped", "capped", "backtracked"})],
+        ids=["p20-n3", "p24-n4"],
+    )
+    def test_trials_of_each_step(self, p, n, q0, outcomes):
+        # cold solves whose unit steps are refined and kept, refined and
+        # dropped, refined at the cap eta* = 2, left alone, or backtracked
+        params = ModelParams(n=n, p=p)
+        basis = build_basis(params, 60, build_grid(p, panels=48, order_per_panel=8))
+        problem = _SphereProblem(basis, params)
+        x0 = _initial_coeffs(basis, params, SolveConfig(q0=q0), problem)
+        starts, trials = [], []
+        delta = problem.delta
+
+        def spy(x, phi_x, cand, theta=0.0, work=None):
+            df, phi_c = delta(x, phi_x, cand, theta, work)
+            if x.any():  # not the callback's F(start), taken from the origin
+                if not starts or starts[-1][0] is not x:
+                    starts.append((x, phi_x, theta))
+                    trials.append([])
+                trials[-1].append((cand, df))
+            return df, phi_c
+
+        problem.delta = spy
+        fs = []
+        x_end, _, iterations, converged = _descend(
+            x0, q0, problem, 1e-8, 200, lambda k, c, f, g: fs.append(f))
+        assert converged and len(starts) == iterations
+        assert all(np.diff(fs) < 0.0) and fs[-1] < problem.value(problem.onto_sphere(x0, q0))
+
+        seen = set()
+        nexts = [x for x, _, _ in starts[1:]] + [x_end]
+        for (x, phi_x, theta), tried, x_next in zip(starts, trials, nexts):
+            # the step _descend takes, in its own arithmetic
+            g = problem.gradient(x, phi_x)
+            gt = g - theta * (problem.gram @ x)
+            d = problem.newton_direction(x, phi_x, gt, theta)
+            assert np.dot(d, gt) > 0.0
+            slope = float(np.dot(d, gt))
+            (unit, df), extra = tried[0], tried[1:]
+            np.testing.assert_array_equal(unit, problem.onto_sphere(x - d, q0))
+            if df > -1e-4 * slope:  # backtracking by halves, never refined
+                for k, (cand, _) in enumerate(extra, start=1):
+                    np.testing.assert_array_equal(cand, problem.onto_sphere(x - 0.5**k * d, q0))
+                assert x_next is extra[-1][0]
+                seen.add("backtracked")
+                continue
+            rho = -2.0 * df / slope
+            eta_star = min(1.0 / (2.0 - rho), 2.0) if rho < 2.0 else None
+            if eta_star is None or abs(eta_star - 1.0) <= 0.1:
+                assert extra == [] and x_next is unit
+                seen.add("unit")
+                continue
+            [(refined, df_refined)] = extra
+            np.testing.assert_array_equal(refined, problem.onto_sphere(x - eta_star * d, q0))
+            kept = df_refined < df
+            assert x_next is (refined if kept else unit)
+            seen.add("kept" if kept else "dropped")
+            if eta_star == 2.0:
+                seen.add("capped")
+        assert seen == outcomes
+
+
 class TestSolveCost:
     """Step budgets: first-order descent alone needs about 10^5 steps on this
     grid and reaches max_iter in some runs."""
 
     def test_table2_takes_fewer_steps_than_from_the_ring_bump(self, table2):
-        # cold rows take 6, 5, 15, 15, 15 steps (12, 14, 15, 15, 15 from the
-        # ring bump alone); continued rows take 6, 7, 7, 9, 10
+        # cold rows take 5, 5, 14, 14, 14 steps (13, 14, 14, 14, 14 from the
+        # ring bump alone); continued rows take 5, 7, 7, 8, 10
         assert sum(sol.iterations for _, sol in table2) < 56
 
     def test_table1_continues_in_few_steps(self, basis, params, table1):
-        # rows take 4, 6, 6, 5, 5, 5 steps; each row after the first starts
-        # from the thin wall, which has a lower F than the previous row's
-        # minimizer, rescaled or predicted along the branch tangent. Started
-        # from that minimizer rescaled they took 4, 14, 8, 10, 11, 14
+        # rows take 3, 6, 5, 5, 5, 5 steps (4, 6, 6, 5, 5, 5 without the
+        # refined unit step); each row after the first starts from the thin
+        # wall, which has a lower F than the previous row's minimizer,
+        # rescaled or predicted along the branch tangent. Started from that
+        # minimizer rescaled they take 3, 14, 6, 10, 11, 14
         for q0, sol in table1[0]:
             assert sol.converged, q0
             certify_minimum(basis, params, sol, q0)
-        assert sum(sol.iterations for _, sol in table1[0]) == 31
+        assert sum(sol.iterations for _, sol in table1[0]) == 29
 
     def test_dispersion_sweep_continues_along_the_branch_tangent(self, basis, params):
         # the default dispersion sweep, 25 log-spaced q0 in [10, 1000], takes
-        # 99 steps with each row predicted along the branch tangent; 115 from
-        # the previous minimizer rescaled, 108 from a secant in log q0
+        # 97 steps with each row predicted along the branch tangent (99
+        # without the refined unit step); without it too, 115 from the
+        # previous minimizer rescaled and 108 from a secant in log q0
         q0_list = np.geomspace(10.0, 1000.0, 25).tolist()
         solutions = sweep_q0(params, basis, q0_list, SolveConfig(q0=q0_list[0]))
         assert all(sol.converged for sol in solutions)
-        assert sum(sol.iterations for sol in solutions) <= 100
+        assert sum(sol.iterations for sol in solutions) <= 97
+
+    def test_verify_points_take_few_steps(self):
+        # verify's 18 solves, q0 = 100 and 0.01 at n = 1..3 x p = 16, 20, 24
+        # on verify's resolution: 71 steps, 78 without the refined unit step
+        total = 0
+        for p in (16.0, 20.0, 24.0):
+            basis = build_basis(ModelParams(p=p), 60, build_grid(p, panels=48))
+            for n in (1, 2, 3):
+                for q0 in (100.0, 0.01):
+                    sol = minimize_on_sphere(basis, ModelParams(n=n, p=p), SolveConfig(q0=q0))
+                    assert sol.converged, (p, n, q0)
+                    total += sol.iterations
+        assert total <= 71
 
     def test_wide_disk_winding_sweep_continues_in_few_steps(self):
-        # at p=40 cold rows take 6, 5, 10, 36, 38 steps; continued rows 6, 7, 7, 9, 10
+        # at p=40 cold rows take 5, 5, 7, 34, 34 steps; continued rows 5, 7, 7, 8, 10
         params = ModelParams(p=40.0)
         basis = build_basis(params, 60, build_grid(40.0, panels=48, order_per_panel=8))
         solutions = sweep_n(params, basis, [1, 2, 3, 4, 5], SolveConfig(q0=100.0))
@@ -800,7 +885,7 @@ class TestSolveCost:
         assert sum(sol.iterations for sol in solutions) <= 45
 
     def test_linear_limit_converges_from_the_linear_mode(self, solve):
-        # the ground mode is the q0 -> 0 minimizer; from the ring bump it takes 7 steps
+        # the ground mode is the q0 -> 0 minimizer; from the ring bump it takes 4 steps
         sol = solve(0.01)
         assert sol.converged and sol.iterations <= 2
 
@@ -808,7 +893,7 @@ class TestSolveCost:
         # the q0=12.12 minimizer rescaled onto the q0=14.68 sphere, where the
         # reduced Hessian has a small negative eigenvalue, so the first steps
         # are eigen-modified (9 steps; a norm sweep predicts that row along
-        # the branch tangent instead, where R is positive, and takes 8)
+        # the branch tangent instead, where R is positive, and takes 7)
         q0_list = list(np.geomspace(10.0, 1000.0, 25)[:3])
         first, second = sweep_q0(params, basis, q0_list[:2], SolveConfig(q0=q0_list[0]))
         config = SolveConfig(q0=q0_list[2], start_coeffs=tuple(second.coeffs))
