@@ -96,6 +96,11 @@ class SpectralBasis:
         """
         return freeze(np.linalg.solve(self.w_cholesky, np.eye(self.m)))
 
+    @cached_property
+    def ground_modes(self):
+        """The solver's linear ground modes of this basis, by n^2, filled as cold solves need them."""
+        return {}
+
 
 def _checked_cholesky(w_gram):
     """(L, min_j L_jj / sqrt(w_gram_jj)) for the Cholesky factor w_gram = L @ L.T.

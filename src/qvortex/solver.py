@@ -107,7 +107,7 @@ _ETA_MAX = 2.0  # the cap on eta*
 _DECAY_P0_FRACTION = 0.75  # inner radius of the decay envelope, over p
 _FD_POINTS = 10  # random points of the gradient check
 _FD_STEP = 1e-6  # the W-norm of its coordinate steps
-_DELTA_WORK_ARRAYS = 5  # m x N arrays _SphereProblem.delta can take as work
+_INCREMENT_WORK_ARRAYS = 4  # arrays _SphereProblem.potential_increment can take as work
 
 
 @dataclass(frozen=True)
@@ -260,28 +260,40 @@ def gradient_fd_check(basis, params, q0, seed=0):
     W-norm 1e-6. Components are
     compared relative to max(|g_i|, 1e-8 * max|g|) so near-zero entries do
     not blow up the ratio. Each central difference is one factored increment
-    F(c + h_i*e_i) - F(c - h_i*e_i) = delta(c - h_i*e_i, c + h_i*e_i), not the
-    difference of two absolute values of F, whose cancellation would swamp
-    the comparison; the m coordinate pairs of a point go to delta as one
-    stack of starts and one stack of candidates. Each is divided by its
-    width as rounded, (c + h_i*e_i)_i - (c - h_i*e_i)_i: 2h_i would floor the
-    error at about 3e-10. The m x N arrays of every point (phi at the
-    lower points and delta's work arrays) are allocated once and reused.
+    F(c + h_i*e_i) - F(c - h_i*e_i), not the difference of two absolute
+    values of F, whose cancellation would swamp the comparison, and is
+    divided by its width as rounded, (c + h_i*e_i)_i - (c - h_i*e_i)_i: 2h_i
+    would floor the error at about 3e-10. The steps are coordinate steps, so
+    the m differences of a point cost O(m*N) and form no m x N x m product:
+    the profile at c - h_i*e_i is phi(c) + ((c - h_i*e_i)_i - c_i)*s_i and
+    the image of the step is width_i*s_i, s_i the i-th sine row, both row
+    scalings of the sine table; with M = K + n^2 C the quadratic part
+    step.M.mid is width_i*((M.c)_i + M_ii*(mid_i - c_i)), as the midpoint
+    mid differs from c in its i-th entry alone. The sextic-quartic part of
+    all m is one stacked call of _SphereProblem.potential_increment, whose
+    m x N arrays, like the profiles and step images, are allocated once.
     """
     units = np.random.default_rng(seed).standard_normal((_FD_POINTS, basis.m))
     units *= math.sqrt(q0) / np.linalg.norm(units, axis=1, keepdims=True)
     points = np.linalg.solve(basis.w_cholesky.T, units.T).T
     problem = _SphereProblem(basis, params)
-    steps = np.diag(_FD_STEP / np.sqrt(np.diag(basis.w_matrix)))
-    phi_lower, *work = np.empty((1 + _DELTA_WORK_ARRAYS, basis.m, problem.sines.shape[1]))
+    steps = _FD_STEP / np.sqrt(np.diag(basis.w_matrix))
+    mat_diag = np.diagonal(problem.mat)
+    phi_lower, dphi, *work = np.empty(
+        (2 + _INCREMENT_WORK_ARRAYS, basis.m, problem.sines.shape[1])
+    )
     worst = 0.0
     for c in points:
-        g = problem.gradient(c)
+        phi = problem.phi(c)
+        g = problem.gradient(c, phi)
         scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
         lower, upper = c - steps, c + steps
-        width = np.diagonal(upper) - np.diagonal(lower)
-        np.matmul(lower, problem.sines, out=phi_lower)
-        fd = problem.delta(lower, phi_lower, upper, work=work)[0] / width
+        width = upper - lower
+        np.multiply((lower - c)[:, None], problem.sines, out=phi_lower)
+        phi_lower += phi
+        np.multiply(width[:, None], problem.sines, out=dphi)
+        quad = width * (problem.mat @ c + mat_diag * (lower + 0.5 * width - c))
+        fd = (quad + problem.potential_increment(phi_lower, dphi, work)[0]) / width
         worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
     return worst
 
@@ -316,7 +328,8 @@ def _initial_coeffs(basis, params, config, problem):
     """The start candidate of lowest F on the sphere.
 
     A cold solve offers the ring bump, the linear ground mode (see
-    _ground_mode; the minimizer as q0 -> 0) and the thin-wall
+    _ground_mode; the minimizer as q0 -> 0, formed once per basis and n^2
+    and kept in basis.ground_modes) and the thin-wall
     profile (its large-q0 shape); a configured start_coeffs takes the place
     of the first two, next to the thin wall. The candidates are compared on
     the sphere by the factored difference of _lower, and a tie keeps the
@@ -331,9 +344,12 @@ def _initial_coeffs(basis, params, config, problem):
             raise ValueError("the start projects to the zero vector")
         candidates = (a,)
     else:
+        modes = basis.ground_modes
+        if params.n**2 not in modes:
+            modes[params.n**2] = readonly(_ground_mode(problem))
         candidates = (
             _project_to_basis(basis, _ring_bump_nodes(rho, n_abs, basis.p)),
-            _ground_mode(problem),
+            modes[params.n**2],
         )
     candidates += (
         _project_to_basis(basis, _thin_wall_nodes(rho, n_abs, config.q0, params.a_pot)),
@@ -345,11 +361,6 @@ def _initial_coeffs(basis, params, config, problem):
         if _lower(problem, on_sphere[k], on_sphere[best], config.q0):
             best = k
     return candidates[best]
-
-
-def _rowdot(u, v):
-    """u.v over the last axis, each row with the arithmetic of a 1-D dot."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 class _SphereProblem:
@@ -397,7 +408,7 @@ class _SphereProblem:
         nl = self.sines @ (self.w_rho * (phi * ph2 * (6.0 * ph2 - 4.0 * self.a_pot)))
         return self.mat @ c + self.lam * nl
 
-    def delta(self, x, phi_x, cand, theta=0.0, work=None):
+    def delta(self, x, phi_x, cand, theta=0.0):
         """(F(cand) - F(x), phi(cand)) without cancellation in F.
 
         theta is the current Lagrange-multiplier estimate (x.g)/q0; the
@@ -405,33 +416,35 @@ class _SphereProblem:
         which coincides with F on the sphere but has no radial slope, so
         the eps-level radius drift of the retraction cannot pollute the
         comparison. The shift changes nothing on-constraint, and at
-        theta = 0 it is not formed.
-
-        cand may also be a stack of candidates, one per row, and x (with
-        phi_x) a stack of starts that broadcasts against it; the differences
-        then come back as an array. For a single candidate the products
-        round exactly like plain 1-D dot and matrix-vector products, so the
-        stacked form leaves the line search's arithmetic unchanged.
-
-        With v = phi_x, dphi = step @ S the exact image of the step and
-        u = v + dphi, the increment of P = phi^6 - a_pot*phi^4 is the
-        factored product P(u) - P(v) =
-        [(u + v)*dphi] * [u^2 (u^2 + v^2 - a_pot) + v^2 (v^2 - a_pot)],
-        formed in place: every term carries the factor dphi.
-
-        work, when given, holds _DELTA_WORK_ARRAYS arrays shaped like phi(cand)
-        that take dphi, phi(cand), the factor, v^2 and the bracket in place
-        of fresh ones; phi(cand) is then returned in work[1]. The arithmetic
-        is the same either way.
+        theta = 0 it is not formed. The quadratic part is step.M.(x + step/2)
+        and the sextic-quartic part potential_increment's, of the exact
+        image step @ S of the step.
         """
-        dphi, phi_c, factor, v2, bracket = work or (None,) * _DELTA_WORK_ARRAYS
         step = cand - x
-        dphi = np.matmul(step, self.sines, out=dphi)
-        phi_c = np.add(phi_x, dphi, out=phi_c)
         mid = x + 0.5 * step
-        quad = _rowdot(step, (self.mat @ mid[..., None])[..., 0])
+        quad = np.dot(step, self.mat @ mid)
         if theta:
-            quad = quad - theta * _rowdot(step, (self.gram @ mid[..., None])[..., 0])
+            quad = quad - theta * np.dot(step, self.gram @ mid)
+        increment, phi_c = self.potential_increment(phi_x, step @ self.sines)
+        return quad + increment, phi_c
+
+    def potential_increment(self, phi_x, dphi, work=None):
+        """(lam * int rho*(P(u) - P(v)) drho, u), v = phi_x, u = v + dphi, P = phi^6 - a_pot*phi^4.
+
+        dphi is the exact image phi(cand) - phi(x) of a step. The increment
+        is the factored product P(u) - P(v) =
+        [(u + v)*dphi] * [u^2 (u^2 + v^2 - a_pot) + v^2 (v^2 - a_pot)],
+        formed in place: every term carries the factor dphi, so its error
+        scales with the step instead of with |P|. phi_x and dphi may be
+        stacks of any leading shape, one increment per row; dphi is
+        overwritten (it takes u^2).
+
+        work, when given, holds _INCREMENT_WORK_ARRAYS arrays shaped like u
+        that take u, the factor, v^2 and the bracket in place of fresh ones;
+        u is then returned in work[0]. The arithmetic is the same either way.
+        """
+        phi_c, factor, v2, bracket = work or (None,) * _INCREMENT_WORK_ARRAYS
+        phi_c = np.add(phi_x, dphi, out=phi_c)
         factor = np.add(phi_c, phi_x, out=factor)
         factor *= dphi
         u2 = np.multiply(phi_c, phi_c, out=dphi)
@@ -443,7 +456,7 @@ class _SphereProblem:
         v_term *= v2
         bracket += v_term
         factor *= bracket
-        return quad + self.lam * (factor @ self.w_rho), phi_c
+        return self.lam * (factor @ self.w_rho), phi_c
 
     def curvature(self, phi):
         """The nodal curvature weights v = lam*w*rho*(30 phi^4 - 12 a_pot phi^2) of hessian."""
@@ -565,7 +578,9 @@ def _ground_mode(problem):
     rescaled by its largest entry, give T^64, whose columns lie along it as
     far as (lambda_1/lambda_2)^64 = (j_n,1/j_n,2)^128 allows. At p = 20,
     1 - cos is at roundoff up to n = 30, 3e-10 at n = 60 and 5e-4 at
-    n = 300: only a start, which the descent refines.
+    n = 300: only a start, which the descent refines. It depends on the
+    basis and n^2 alone, so _initial_coeffs forms it once per basis and
+    winding (about 0.18 ms at m = 60); verify's two cold solves share it.
     """
     power = np.linalg.solve(problem.mat, problem.gram)
     for _ in range(6):

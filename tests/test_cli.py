@@ -24,6 +24,7 @@ from qvortex import (
     minimize_on_sphere,
 )
 import qvortex.cli
+import qvortex.solver
 from qvortex.cli import CONFIG_DEFAULTS, _coerce, _oracle_agreement, main
 
 TABLE1_HEADER = "q0,omega_sq,phi_max,residual_error,iterations,converged"
@@ -215,23 +216,31 @@ class TestTable2Command:
         assert "nonzero integer" in capsys.readouterr().err
 
     def test_agreement_across_blas_thread_counts(self, tmp_path):
-        # the winding sweep's cold starts and the warm-started norm sweep,
-        # which takes the most Newton steps per solve
+        # the winding sweep's cold starts, the warm-started norm sweep, which
+        # takes the most Newton steps per solve, and verify's printed checks,
+        # its gradient check's stacked coordinate differences among them
         src = str(Path(qvortex.__file__).resolve().parents[1])
-        commands = {"table2.csv": ["table2"], "dispersion.csv": ["dispersion", "--points", "7"]}
+        commands = {
+            "table2.csv": ["table2"],
+            "dispersion.csv": ["dispersion", "--points", "7"],
+            "verify": ["verify", "--n", "2"],
+        }
         rows = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
             out = tmp_path / threads
             for name, argv in commands.items():
-                subprocess.run(
+                printed = subprocess.run(
                     [sys.executable, "-m", "qvortex.cli", *argv, "--out", str(out)],
-                    env=env, check=True, timeout=300,
+                    env=env, check=True, timeout=300, capture_output=True, text=True,
+                ).stdout
+                rows[threads, name] = (
+                    printed.splitlines() if name == "verify" else data_lines(out / name)[1:]
                 )
-                rows[threads, name] = data_lines(out / name)[1:]
         assert len(rows["1", "table2.csv"]) == 5
         assert len(rows["1", "dispersion.csv"]) == 7 + 2
+        assert rows["1", "verify"][-1] == "verify: all checks passed"
         for name in commands:
             assert rows["1", name] == rows["2", name]
 
@@ -291,6 +300,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(qvortex.cli, "bessel_first_zero", counted)
         assert run("verify", "--out", str(tmp_path), "--n", "-2") == 0
         assert orders == [2]
+
+    def test_forms_the_ground_mode_once(self, tmp_path, monkeypatch):
+        # the cold Q0 = 100 and Q0 = 0.01 solves share the basis and the winding
+        calls = []
+
+        def counted(problem, _fn=qvortex.solver._ground_mode):
+            calls.append(1)
+            return _fn(problem)
+
+        monkeypatch.setattr(qvortex.solver, "_ground_mode", counted)
+        assert run("verify", "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
 
     def test_unconverged_solves_fail_their_lines(self, tmp_path, capsys):
         # a tolerance no solve can meet leaves both the Q0=100 and the Q0=0.01

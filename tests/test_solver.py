@@ -21,12 +21,11 @@ from qvortex import (
 )
 from qvortex.model import decay_edge, potential_derivative, theory_bounds
 from qvortex.solver import (
-    _DELTA_WORK_ARRAYS,
+    _INCREMENT_WORK_ARRAYS,
     _descend,
     _ground_mode,
     _initial_coeffs,
     _project_to_basis,
-    _rowdot,
     _SphereProblem,
     _thin_wall_nodes,
     branch_tangent,
@@ -65,23 +64,60 @@ def certify_minimum(basis, params, sol, q0):
     np.linalg.cholesky(problem.reduced_hessian(x, phi, theta))
 
 
-def expanded_delta(problem, x, phi_x, cand, theta=0.0):
-    """_SphereProblem.delta with the sextic-quartic increment as expanded sums.
+def rowdot(u, v):
+    """u.v over the last axis, each row with the arithmetic of a 1-D dot."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def expanded_increment(problem, phi_x, dphi):
+    """_SphereProblem.potential_increment as expanded sums, rows stacked alike.
 
     u^k - v^k = (u - v) * sum u^i v^j for k = 4 and 6, the form the factored
-    product replaced; the quadratic part is delta's own.
+    product replaced.
     """
-    step = cand - x
-    dphi = step @ problem.sines
-    mid = x + 0.5 * step
-    quad = _rowdot(step, (problem.mat @ mid[..., None])[..., 0])
-    if theta:
-        quad = quad - theta * _rowdot(step, (problem.gram @ mid[..., None])[..., 0])
     u, v = phi_x + dphi, phi_x
     u2, v2 = u * u, v * v
     s3 = u2 * u + u2 * v + u * v2 + v2 * v
     s5 = u2 * s3 + v2 * v2 * (u + v)
-    return quad + problem.lam * ((dphi * (s5 - problem.a_pot * s3)) @ problem.w_rho)
+    return problem.lam * ((dphi * (s5 - problem.a_pot * s3)) @ problem.w_rho)
+
+
+def expanded_delta(problem, x, phi_x, cand, theta=0.0):
+    """_SphereProblem.delta with the sextic-quartic increment as expanded sums.
+
+    Starts and candidates may be stacked, one per row; the quadratic part is
+    delta's own.
+    """
+    step = cand - x
+    mid = x + 0.5 * step
+    quad = rowdot(step, (problem.mat @ mid[..., None])[..., 0])
+    if theta:
+        quad = quad - theta * rowdot(step, (problem.gram @ mid[..., None])[..., 0])
+    return quad + expanded_increment(problem, phi_x, step @ problem.sines)
+
+
+def two_sided_reference(basis, params, seed):
+    """gradient_fd_check's value from stacked BLAS products and the expanded sums.
+
+    F(c + h_i e_i) - F(c - h_i e_i), h_i = 1e-6/sqrt(W_ii), by expanded_delta
+    over the width (c + h_i e_i)_i - (c - h_i e_i)_i, at the check's points
+    c = L^-T a, W = L.L^T, a uniform on |a|^2 = 100.
+    """
+    problem = _SphereProblem(basis, params)
+    rng = np.random.default_rng(seed)
+    low = basis.w_cholesky
+    step, worst = np.diag(1e-6 / np.sqrt(np.diag(basis.w_matrix))), 0.0
+    for _ in range(10):
+        v = rng.standard_normal(basis.m)
+        a = np.linalg.solve(low.T, math.sqrt(100.0) * v / np.linalg.norm(v))
+        assert w_norm_sq(basis, a) == pytest.approx(100.0, rel=1e-12)
+        g = problem.gradient(a)
+        scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
+        lower, upper = a - step, a + step
+        width = np.diagonal(upper) - np.diagonal(lower)
+        fd = expanded_delta(problem, lower, problem.phi(lower), upper) / width
+        worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
+    return worst
 
 
 def linear_mode(basis, problem):
@@ -227,18 +263,15 @@ class TestFunctionalGradient:
         a = sphere_point(basis, 100.0, seed=3)
         phi_a = problem.phi(a)
         rng = np.random.default_rng(4)
-        cands = np.concatenate(
-            (a + 1e-6 * np.eye(basis.m), a + 0.1 * rng.standard_normal((5, basis.m)))
-        )
-        stacked, phi_stacked = problem.delta(a, phi_a, cands, theta=0.3)
-        for cand, df, phi_c in zip(cands, stacked, phi_stacked):
-            one, phi_one = problem.delta(a, phi_a, cand, theta=0.3)
+        steps = np.concatenate((1e-6 * np.eye(basis.m), 0.1 * rng.standard_normal((5, basis.m))))
+        stacked, phi_stacked = problem.potential_increment(phi_a, steps @ problem.sines)
+        for step, df, phi_c in zip(steps, stacked, phi_stacked):
+            one, phi_one = problem.potential_increment(phi_a, step @ problem.sines)
             # the stack sums in another order: agreement to roundoff
             assert df == pytest.approx(one, rel=1e-12)
             np.testing.assert_allclose(
                 phi_c, phi_one, rtol=0, atol=1e-13 * np.abs(phi_one).max()
             )
-
 
     @pytest.mark.parametrize("kind", ["coordinate", "random"])
     def test_factored_difference_matches_the_expanded_sums(self, basis, params, kind):
@@ -249,12 +282,11 @@ class TestFunctionalGradient:
             steps = 1e-6 * np.eye(basis.m)
         else:
             steps = 0.1 * np.random.default_rng(6).standard_normal((8, basis.m))
-        cands = a + steps
-        stacked = problem.delta(a, phi_a, cands, theta=0.3)[0]
-        np.testing.assert_allclose(
-            stacked, expanded_delta(problem, a, phi_a, cands, theta=0.3), rtol=1e-12
-        )
-        for cand in cands:
+        dphi = steps @ problem.sines
+        expanded = expanded_increment(problem, phi_a, dphi)
+        stacked = problem.potential_increment(phi_a, dphi)[0]
+        np.testing.assert_allclose(stacked, expanded, rtol=1e-12)
+        for cand in a + steps:
             one = problem.delta(a, phi_a, cand, theta=0.3)[0]
             assert one == pytest.approx(expanded_delta(problem, a, phi_a, cand, 0.3), rel=1e-12)
 
@@ -268,9 +300,13 @@ class TestFunctionalGradient:
         cands = np.concatenate(
             (a + 1e-6 * np.eye(basis.m), a + 0.1 * rng.standard_normal((5, basis.m)))
         )
-        stacked, phi_stacked = problem.delta(starts, problem.phi(starts), cands, theta=0.3)
+        stacked, phi_stacked = problem.potential_increment(
+            problem.phi(starts), (cands - starts) @ problem.sines
+        )
         for start, cand, df, phi_c in zip(starts, cands, stacked, phi_stacked):
-            one, phi_one = problem.delta(start, problem.phi(start), cand, theta=0.3)
+            one, phi_one = problem.potential_increment(
+                problem.phi(start), (cand - start) @ problem.sines
+            )
             assert df == pytest.approx(one, rel=1e-12)
             np.testing.assert_allclose(
                 phi_c, phi_one, rtol=0, atol=1e-13 * np.abs(phi_one).max()
@@ -278,69 +314,56 @@ class TestFunctionalGradient:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fd_check_is_the_two_sided_difference(self, basis, params, seed):
-        # reference: F(c + h_i e_i) - F(c - h_i e_i), h_i = 1e-6/sqrt(W_ii), by
-        # the expanded sums over the width (c + h_i e_i)_i - (c - h_i e_i)_i,
-        # at the check's points c = L^-T a, W = L.L^T, a uniform on |a|^2 = 100
-        problem = _SphereProblem(basis, params)
-        rng = np.random.default_rng(seed)
-        low = basis.w_cholesky
-        step, worst = np.diag(1e-6 / np.sqrt(np.diag(basis.w_matrix))), 0.0
-        for _ in range(10):
-            v = rng.standard_normal(basis.m)
-            a = np.linalg.solve(low.T, math.sqrt(100.0) * v / np.linalg.norm(v))
-            assert w_norm_sq(basis, a) == pytest.approx(100.0, rel=1e-12)
-            g = problem.gradient(a)
-            scale = np.maximum(np.abs(g), 1e-8 * np.max(np.abs(g)))
-            lower, upper = a - step, a + step
-            width = np.diagonal(upper) - np.diagonal(lower)
-            fd = expanded_delta(problem, lower, problem.phi(lower), upper) / width
-            worst = max(worst, float(np.max(np.abs(fd - g) / scale)))
         checked = gradient_fd_check(basis, params, q0=100.0, seed=seed)
-        assert checked == pytest.approx(worst, rel=0, abs=1e-12)
+        assert checked == pytest.approx(two_sided_reference(basis, params, seed), rel=0, abs=1e-12)
+
+    def test_fd_check_is_the_two_sided_difference_at_a_finer_resolution(self):
+        params = ModelParams(n=3, p=24.0)
+        basis = build_basis(params, 120, build_grid(24.0, panels=96))
+        checked = gradient_fd_check(basis, params, q0=100.0, seed=0)
+        assert checked == pytest.approx(two_sided_reference(basis, params, 0), rel=0, abs=1e-12)
 
     def test_work_arrays_leave_the_difference_unchanged(self, basis, params):
         problem = _SphereProblem(basis, params)
         a = sphere_point(basis, 100.0, seed=9)
-        starts = a - 1e-6 * np.eye(basis.m)
-        cands = a + 1e-6 * np.eye(basis.m)
-        phi_starts = problem.phi(starts)
-        fresh, phi_fresh = problem.delta(starts, phi_starts, cands, theta=0.3)
-        work = list(np.full((_DELTA_WORK_ARRAYS,) + phi_starts.shape, np.nan))
-        reused, phi_reused = problem.delta(starts, phi_starts, cands, theta=0.3, work=work)
+        phi_starts = problem.phi(a - 1e-6 * np.eye(basis.m))
+        dphi = 2e-6 * problem.sines
+        fresh, phi_fresh = problem.potential_increment(phi_starts, dphi.copy())
+        work = list(np.full((_INCREMENT_WORK_ARRAYS,) + phi_starts.shape, np.nan))
+        reused, phi_reused = problem.potential_increment(phi_starts, dphi.copy(), work)
         np.testing.assert_array_equal(reused, fresh)
         np.testing.assert_array_equal(phi_reused, phi_fresh)
-        assert phi_reused is work[1]
+        assert phi_reused is work[0]
 
     def test_fd_check_takes_one_difference_call_per_point(self, basis, params, monkeypatch):
         calls = []
-        delta = _SphereProblem.delta
+        increment = _SphereProblem.potential_increment
 
         def counting(self, *args, **kwargs):
             calls.append(1)
-            return delta(self, *args, **kwargs)
+            return increment(self, *args, **kwargs)
 
-        monkeypatch.setattr(_SphereProblem, "delta", counting)
+        monkeypatch.setattr(_SphereProblem, "potential_increment", counting)
         gradient_fd_check(basis, params, q0=100.0, seed=0)
         assert len(calls) == 10
 
     def test_fd_check_forms_no_multiplier_term(self, basis, params, monkeypatch):
-        # the check differences F itself (theta = 0), and at theta = 0 delta
-        # takes no product with W, which for the stacked candidates would be
-        # an m x m x m product per point
-        thetas = []
-        delta = _SphereProblem.delta
+        # the check differences F itself (theta = 0): it never calls the
+        # shifted difference delta, and takes no product with W, which for
+        # the m coordinate steps of a point would be an m x m x m product
+        expected = gradient_fd_check(basis, params, q0=100.0, seed=0)
+        init = _SphereProblem.__init__
 
-        def recording(self, x, phi_x, cand, theta=0.0, work=None):
-            thetas.append(theta)
-            gram, self.gram = self.gram, None
-            try:
-                return delta(self, x, phi_x, cand, theta, work)
-            finally:
-                self.gram = gram
+        def without_gram(self, *args):
+            init(self, *args)
+            self.gram = None
 
-        monkeypatch.setattr(_SphereProblem, "delta", recording)
-        gradient_fd_check(basis, params, q0=100.0, seed=0)
-        assert thetas == [0.0] * 10
+        def refused(self, *args, **kwargs):
+            raise AssertionError("the gradient check called delta")
+
+        monkeypatch.setattr(_SphereProblem, "__init__", without_gram)
+        monkeypatch.setattr(_SphereProblem, "delta", refused)
+        assert gradient_fd_check(basis, params, q0=100.0, seed=0) == expected
 
 
 class TestMinimize:
@@ -782,8 +805,8 @@ class TestRefinedUnitStep:
         starts, trials = [], []
         delta = problem.delta
 
-        def spy(x, phi_x, cand, theta=0.0, work=None):
-            df, phi_c = delta(x, phi_x, cand, theta, work)
+        def spy(x, phi_x, cand, theta=0.0):
+            df, phi_c = delta(x, phi_x, cand, theta)
             if x.any():  # not the callback's F(start), taken from the origin
                 if not starts or starts[-1][0] is not x:
                     starts.append((x, phi_x, theta))
