@@ -90,7 +90,8 @@ class SpectralBasis:
 
     @cached_property
     def w_cholesky_inverse(self):
-        """L^-1, W = L @ L.T: takes a gradient in c to orthonormal coordinates.
+        """L^-1, W = L @ L.T: takes a gradient in c to orthonormal coordinates,
+        and L^-T.L^-1 applies W^-1.
 
         Formed on first use by one solve, as numpy has no triangular solver.
         """

@@ -93,7 +93,7 @@ __all__ = [
     "check_decay_envelope",
     "check_solution",
     "gradient_fd_check",
-    "branch_tangent",
+    "branch_derivatives",
 ]
 
 PROFILE_POINTS = 2001
@@ -306,7 +306,8 @@ def _ring_bump_nodes(rho, n_abs, p):
 def _project_to_basis(basis, values):
     """Coefficients c of the projection of nodal values: W.c = 4*pi*S.(w*rho*values)."""
     w_rho = basis.grid.weights * basis.grid.nodes
-    return np.linalg.solve(basis.w_matrix, 4.0 * math.pi * (basis.sin_nodes @ (w_rho * values)))
+    to_unit = basis.w_cholesky_inverse  # W^-1 = L^-T.L^-1
+    return to_unit.T @ (to_unit @ (4.0 * math.pi * (basis.sin_nodes @ (w_rho * values))))
 
 
 def _thin_wall_nodes(rho, n_abs, q0, a_pot):
@@ -544,19 +545,30 @@ def _passes_cholesky(r):
     return True
 
 
-def branch_tangent(basis, params, coeffs, q0):
-    """dc/dq0 along the branch of minimizers through the converged coeffs, or None.
+def branch_derivatives(basis, params, coeffs, q0):
+    """(c', c'') = (dc/dq0, d^2c/dq0^2) along the branch of minimizers through
+    the converged coeffs, or None.
 
     Differentiating g(c) = theta*W.c and c.W.c = q0 in q0 gives
     B.c' = theta'*W.c and c.W.c' = 1/2, B = H - theta*W at theta = c.g/q0.
-    So c' = c/(2*q0) + t with t tangent, and projecting out W.c with
-    P^T.v = v - W.c*(c.v)/q0 leaves P^T.B.t = -P^T.B.c/(2*q0). On tangent
+    So c' = c/(2*q0) + t1 with t1 tangent, and projecting out W.c with
+    P^T.v = v - W.c*(c.v)/q0 leaves P^T.B.t1 = -P^T.B.c/(2*q0). On tangent
     vectors the reduced Hessian R acts as P^T.B, and R^-1 maps a vector
-    that c annihilates to a tangent one, so t = -R^-1.P^T.B.c/(2*q0): the
-    linear algebra of a Newton step (one O(m^2) assembly of R, its
-    Cholesky test and one LU solve) without its line search. Where R fails
-    that test the point is no strict local minimum on the sphere, and None
-    is returned.
+    that c annihilates to a tangent one, so t1 = -R^-1.P^T.B.c/(2*q0).
+    Dotting B.c' = theta'*W.c with c gives theta' = c.B.c'/q0
+    = (c.B.c/(2*q0) + t1.B.c)/q0, as B is symmetric.
+
+    Differentiating once more gives B.c'' = theta''*W.c + 2*theta'*W.c' - T
+    and c.W.c'' = -c'.W.c', where T = S.(v3*phi'^2) is the derivative of H
+    along c' applied to c', phi' = c' @ S and
+    v3 = lam*w*rho*(120 phi^3 - 24 a_pot phi) the phi-derivative of the
+    curvature weights. So c'' = alpha*c + t2 with alpha = -c'.W.c'/q0 and
+    R.t2 = P^T.(2*theta'*W.c' - T - alpha*B.c); P^T removes theta''.
+    The pair costs the linear algebra of a Newton step (one O(m^2)
+    assembly of R, its Cholesky test and one LU solve) without its line
+    search, plus one more LU solve, two m x N products and one product
+    with W. Where R fails that test the point is no strict local minimum
+    on the sphere, and None is returned.
     """
     problem = _SphereProblem(basis, params)
     c = check_coeffs("coeffs", coeffs, basis.m)
@@ -568,7 +580,17 @@ def branch_tangent(basis, params, coeffs, q0):
     w_c = problem.gram @ c
     # H.c = (K + n^2 C).c + S.(v*phi), as phi = c @ S
     b_c = problem.mat @ c + problem.sines @ (problem.curvature(phi) * phi) - theta * w_c
-    return (c - np.linalg.solve(r, b_c - (float(c @ b_c) / q0) * w_c)) / (2.0 * q0)
+    c_b_c = float(c @ b_c)
+    r_b_c = np.linalg.solve(r, b_c - (c_b_c / q0) * w_c)  # -2*q0*t1
+    first = (c - r_b_c) / (2.0 * q0)
+    theta_first = (c_b_c - float(r_b_c @ b_c)) / (2.0 * q0 * q0)
+    w_first = problem.gram @ first
+    alpha = -float(first @ w_first) / q0
+    dphi = problem.phi(first)
+    v3 = problem.lam * problem.w_rho * phi * (120.0 * phi * phi - 24.0 * problem.a_pot)
+    rhs = 2.0 * theta_first * w_first - problem.sines @ (v3 * dphi * dphi) - alpha * b_c
+    second = alpha * c + np.linalg.solve(r, rhs - (float(c @ rhs) / q0) * w_c)
+    return first, second
 
 
 def _ground_mode(problem):

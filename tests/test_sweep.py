@@ -125,7 +125,7 @@ class TestSweepN:
 def test_each_row_starts_from_the_last_converged_row(
     monkeypatch, params, basis, sweep, values, rows
 ):
-    calls, tangents = [], []
+    calls, taken_at = [], []
 
     def spy(basis, params, config):
         row = len(calls)
@@ -133,28 +133,29 @@ def test_each_row_starts_from_the_last_converged_row(
         # row 1 does not converge, so row 2 starts from row 0 as well
         return SimpleNamespace(coeffs=np.full(2, float(row)), converged=row != 1)
 
-    def tangent(basis, params, coeffs, q0):
-        # the fake solutions carry no minimizer; dc/dq0 = 1/q0 moves each
-        # predicted start by ln(q0_next/q0)
-        tangents.append(q0)
-        return np.full(2, 1.0 / q0)
+    def derivatives(basis, params, coeffs, q0):
+        # the fake solutions carry no minimizer; c' = 1/q0 and c'' = 1/q0^2
+        # give d^2c/ds^2 = q0*c' + q0^2*c'' = 2 in s = ln q0, so a start
+        # predicted over delta = ln(q0_row/q0) moves by delta + delta^2
+        taken_at.append(q0)
+        return np.full(2, 1.0 / q0), np.full(2, 1.0 / q0**2)
 
     monkeypatch.setattr("qvortex.sweep.minimize_on_sphere", spy)
-    monkeypatch.setattr("qvortex.sweep.branch_tangent", tangent)
+    monkeypatch.setattr("qvortex.sweep.branch_derivatives", derivatives)
     solutions = sweep(params, basis, values, SolveConfig(q0=10.0, start_coeffs=(7.0, 7.0)))
     assert [sol.coeffs[0] for sol in solutions] == [0.0, 1.0, 2.0, 3.0]
     assert [(n, q0) for n, q0, _ in calls] == rows
     starts = [start for _, _, start in calls]
     if sweep is sweep_n:
-        # the rows share q0, so no tangent is taken
-        assert tangents == []
+        # the rows share q0, so no derivatives are taken
+        assert taken_at == []
         assert starts == [(7.0, 7.0), (0.0, 0.0), (0.0, 0.0), (2.0, 2.0)]
     else:
-        # a tangent at each converged row that another row follows moves the
-        # start by ln(q0_next/q0); row 2 reuses the prediction row 0 made
-        assert tangents == [10.0, 30.0]
-        log2, log43 = math.log(2.0), math.log(4.0 / 3.0)
-        expected = [(7.0, 7.0), (log2, log2), (log2, log2), (2.0 + log43, 2.0 + log43)]
+        # derivatives at each converged row that another row follows; row 2
+        # is predicted from row 0 to its own q0, over ln 3
+        assert taken_at == [10.0, 30.0]
+        moves = [d + d * d for d in (math.log(2.0), math.log(3.0), math.log(4.0 / 3.0))]
+        expected = [(7.0, 7.0)] + [(c + d, c + d) for c, d in zip((0.0, 0.0, 2.0), moves)]
         np.testing.assert_allclose(starts, expected, rtol=1e-14)
 
 
